@@ -1,9 +1,11 @@
 package pti
 
 // One testing.B benchmark per evaluation row of the paper (Section 7)
-// plus the ablations indexed in DESIGN.md. `go test -bench=. -benchmem`
-// regenerates the full table; cmd/ptibench prints the same data with
-// paper-reported values alongside.
+// plus ablations of the reproduction's design choices: the
+// conformance cache, argument permutations and the name-only rule.
+// `go test -bench=. -benchmem` regenerates the full table;
+// cmd/ptibench prints the same data with paper-reported values
+// alongside.
 
 import (
 	"reflect"

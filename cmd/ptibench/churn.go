@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -12,47 +10,26 @@ import (
 	"pti/internal/transport"
 )
 
-// The churn experiment measures the PR 8 connection-lifecycle
-// subsystem: publishers on managed links keep broadcasting through
-// send queues while waves of subscribers crash and restart. Results
-// are committed as BENCH_PR8.json and gated by cmd/benchdiff:
-//
-//   - every subscriber lineage (the union of its incarnations) must
-//     reach a 1.0 match rate — the reliable session resumed across
-//     the restart instead of resetting;
-//   - every churned link must come back with a session — same-epoch
-//     resume or fresh-epoch replay (sessions_resumed + sessions_fresh
-//     >= churned) — with zero abandoned queue frames;
-//   - the redial loop must stay inside its committed budget — a
-//     regression in backoff or the failure detector shows up as a
-//     redial storm long before it breaks delivery;
-//   - the whole run must finish inside its virtual-time stall budget.
+// The churn experiment measures the connection-lifecycle subsystem:
+// publishers on managed links keep broadcasting through send queues
+// while waves of subscribers crash and restart.
 
-// churnRow is the measured churn cell committed as BENCH_PR8.json.
+// churnRow is the measured churn cell.
 type churnRow struct {
-	Name             string  `json:"name"`
-	Subscribers      int     `json:"subscribers"`
-	Churned          int     `json:"churned"`
-	Rounds           int     `json:"rounds"`
-	Messages         int     `json:"messages"`
-	MatchRate        float64 `json:"match_rate"`
-	Duplicates       int     `json:"duplicates"`
-	SessionsResumed  uint64  `json:"sessions_resumed"`
-	SessionsFresh    uint64  `json:"sessions_fresh"`
-	FramesReplayed   uint64  `json:"frames_replayed"`
-	Redials          uint64  `json:"redials"`
-	RedialBudget     uint64  `json:"redial_budget"`
-	Suspects         uint64  `json:"suspects"`
-	Recoveries       uint64  `json:"recoveries"`
-	QueueAbandoned   uint64  `json:"queue_abandoned"`
-	ElapsedVirtualMs float64 `json:"elapsed_virtual_ms"`
-	StallBudgetMs    float64 `json:"stall_budget_ms,omitempty"`
-}
-
-// churnDoc is the committed BENCH_PR8.json layout.
-type churnDoc struct {
-	Seed      int64      `json:"seed"`
-	ChurnRows []churnRow `json:"churn_rows"`
+	Subscribers      int
+	Churned          int
+	Rounds           int
+	Messages         int
+	MatchRate        float64
+	Duplicates       int
+	SessionsResumed  uint64
+	SessionsFresh    uint64
+	FramesReplayed   uint64
+	Redials          uint64
+	Suspects         uint64
+	Recoveries       uint64
+	QueueAbandoned   uint64
+	ElapsedVirtualMs float64
 }
 
 // churnStallBudgetMs bounds the run's virtual elapsed time: with the
@@ -69,31 +46,45 @@ const churnRedialBudget = 400
 
 // expChurn runs the crash/restart waves on the virtual clock and
 // reports lineage coverage plus the lifecycle counters.
-func expChurn(reps int) error {
+//
+// Gates: every subscriber lineage (the union of its incarnations)
+// reaches a match rate of exactly 1; every churned link comes back
+// with a session, same-epoch resume or fresh-epoch replay (the
+// session shortfall, churned - resumed - fresh, is at most 0), with no
+// abandoned queue frames; the redial loop stays inside its budget (a
+// backoff or failure-detector regression shows up as a redial storm
+// long before it breaks delivery); and the run finishes inside its
+// virtual-time stall budget.
+func expChurn(reps int, m metrics) error {
 	subs := 10 * reps
 	churned := subs / 3
 	rounds, perRound := 4, 5*reps
 
 	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)  [virtual clock]\n", *seed, *seed)
-	row, err := runChurn(subs, churned, rounds, perRound)
+	r, err := runChurn(subs, churned, rounds, perRound)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  %-24s match %.0f%%  dups %d  resumed+fresh %d+%d/%d  redials %d (budget %d)  elapsed %.0fms (budget %.0fms)\n",
-		row.Name, row.MatchRate*100, row.Duplicates, row.SessionsResumed, row.SessionsFresh,
-		row.Churned, row.Redials, row.RedialBudget, row.ElapsedVirtualMs, row.StallBudgetMs)
-
-	if *jsonOut != "" {
-		doc := churnDoc{Seed: *seed, ChurnRows: []churnRow{row}}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
-	}
+	const name = "churn-waves"
+	shortfall := float64(r.Churned) - float64(r.SessionsResumed) - float64(r.SessionsFresh)
+	m.add(name, "match_rate", r.MatchRate, "ratio", is("==", 1))
+	m.add(name, "session_shortfall", shortfall, "count", is("<=", 0))
+	m.add(name, "queue_abandoned", float64(r.QueueAbandoned), "count", is("==", 0))
+	m.add(name, "redials", float64(r.Redials), "count", is("<=", churnRedialBudget))
+	m.add(name, "elapsed_virtual_ms", r.ElapsedVirtualMs, "ms", is("<=", churnStallBudgetMs))
+	m.add(name, "subscribers", float64(r.Subscribers), "count")
+	m.add(name, "churned", float64(r.Churned), "count")
+	m.add(name, "rounds", float64(r.Rounds), "count")
+	m.add(name, "messages", float64(r.Messages), "count")
+	m.add(name, "duplicates", float64(r.Duplicates), "count")
+	m.add(name, "sessions_resumed", float64(r.SessionsResumed), "count")
+	m.add(name, "sessions_fresh", float64(r.SessionsFresh), "count")
+	m.add(name, "frames_replayed", float64(r.FramesReplayed), "count")
+	m.add(name, "suspects", float64(r.Suspects), "count")
+	m.add(name, "recoveries", float64(r.Recoveries), "count")
+	fmt.Printf("  %-24s match %.0f%%  dups %d  resumed+fresh %d+%d/%d  redials %d (budget %d)  elapsed %.0fms (budget %dms)\n",
+		name, r.MatchRate*100, r.Duplicates, r.SessionsResumed, r.SessionsFresh,
+		r.Churned, r.Redials, churnRedialBudget, r.ElapsedVirtualMs, churnStallBudgetMs)
 	return nil
 }
 
@@ -240,7 +231,6 @@ func runChurn(subs, churned, rounds, perRound int) (churnRow, error) {
 	}
 	st := pub.Peer().Stats().Snapshot()
 	return churnRow{
-		Name:             "churn-waves",
 		Subscribers:      subs,
 		Churned:          churned,
 		Rounds:           rounds,
@@ -251,11 +241,9 @@ func runChurn(subs, churned, rounds, perRound int) (churnRow, error) {
 		SessionsFresh:    st.RelSessionsFresh,
 		FramesReplayed:   st.RelFramesReplayed,
 		Redials:          st.PeerRedials,
-		RedialBudget:     churnRedialBudget,
 		Suspects:         st.PeerSuspects,
 		Recoveries:       st.PeerRecoveries,
 		QueueAbandoned:   st.RelQueueAbandoned,
 		ElapsedVirtualMs: float64(elapsedVirtual.Nanoseconds()) / 1e6,
-		StallBudgetMs:    churnStallBudgetMs,
 	}, nil
 }

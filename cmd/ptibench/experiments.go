@@ -19,7 +19,7 @@ import (
 // invocations to the method either directly or indirectly (using a
 // dynamic proxy)" on Person.getName(). Paper: direct 0.000142 ms,
 // indirect 0.03 ms (≈211x).
-func exp71(reps int) error {
+func exp71(reps int, _ metrics) error {
 	person := &fixtures.PersonB{PersonName: "bench", PersonAge: 1}
 	checker := conform.New(nil, conform.WithPolicy(conform.Relaxed(1)))
 	cd := typedesc.MustDescribe(reflect.TypeOf(fixtures.PersonB{}))
@@ -53,7 +53,7 @@ func exp71(reps int) error {
 // exp72 reproduces Section 7.2: creation + XML serialization of the
 // Person type description, and its deserialization. Paper: 6.14 ms
 // create+serialize, 2.34 ms deserialize (ratio ≈2.6).
-func exp72(reps int) error {
+func exp72(reps int, _ metrics) error {
 	personType := reflect.TypeOf(fixtures.PersonA{})
 	var doc []byte
 	createSerialize := measure(reps, 2_000, func() {
@@ -82,7 +82,7 @@ func exp72(reps int) error {
 // exp73 reproduces Section 7.3: (de)serializing a Person instance
 // 1000 times. Paper (SOAP): serialize 16.68 ms, deserialize 1.32 ms.
 // The binary alternative of Section 6.2 is measured alongside.
-func exp73(reps int) error {
+func exp73(reps int, _ metrics) error {
 	person := fixtures.PersonA{Name: "Serial", Age: 30}
 	soap := wire.SOAP{}
 	bin := wire.Binary{}
@@ -115,7 +115,7 @@ func exp73(reps int) error {
 // exp74 reproduces Section 7.4: "100 times 1000 verifications" of the
 // implicit structural conformance rules on simple types. Paper:
 // 12.66 ms per verification (a lower bound).
-func exp74(reps int) error {
+func exp74(reps int, _ metrics) error {
 	repo := typedesc.NewRepository()
 	for _, t := range []reflect.Type{
 		reflect.TypeOf(fixtures.PersonA{}), reflect.TypeOf(fixtures.PersonB{}),
@@ -150,7 +150,7 @@ func exp74(reps int) error {
 
 // expTransport reproduces the Figure 1 protocol costs and the
 // optimistic-vs-eager network ablation.
-func expTransport(reps int) error {
+func expTransport(reps int, _ metrics) error {
 	mkSender := func(eager bool) *transport.Peer {
 		reg := registry.New()
 		if _, err := reg.Register(fixtures.PersonB{}); err != nil {
@@ -260,8 +260,10 @@ func transportBytes(eager bool, objects int) uint64 {
 	return total
 }
 
-// expAblations measures the design choices DESIGN.md calls out.
-func expAblations(reps int) error {
+// expAblations measures what the reproduction's design choices cost:
+// argument-permutation search by arity, the name-only rule against
+// the full one, and flat against recursive descriptors.
+func expAblations(reps int, _ metrics) error {
 	// Permutation search cost by arity.
 	fmt.Println("  argument-permutation search (method match per arity):")
 	for arity := 1; arity <= 6; arity++ {

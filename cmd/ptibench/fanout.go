@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"pti/internal/fixtures"
@@ -12,51 +10,30 @@ import (
 	"pti/internal/transport"
 )
 
-// The fan-out experiment measures the PR 5 async send pipeline: a
+// The fan-out experiment measures the async send pipeline: a
 // publisher broadcasting to N subscribers through per-connection send
 // queues, with one subscriber blackholed mid-run, plus the
-// NACK-vs-pure-backoff single-loss recovery comparison. Results are
-// committed as BENCH_PR5.json and gated by cmd/benchdiff:
-//
-//   - the blackhole row must hold a 100% match rate across the
-//     healthy subscribers and finish inside its virtual-time stall
-//     budget (a stalled pipeline blows the budget by an order of
-//     magnitude);
-//   - NACK fast-retransmit recovery must beat the pure-backoff
-//     baseline outright.
+// NACK-vs-pure-backoff single-loss recovery comparison.
 
 // fanoutRow is one measured fan-out cell.
 type fanoutRow struct {
-	Name             string  `json:"name"`
-	Reliable         bool    `json:"reliable"`
-	MatchRate        float64 `json:"match_rate"`
-	ElapsedVirtualMs float64 `json:"elapsed_virtual_ms"`
-	StallBudgetMs    float64 `json:"stall_budget_ms,omitempty"`
-	QueuePeak        int     `json:"queue_peak"`
-	RTOMs            float64 `json:"rto_ms"`
-	Retransmits      uint64  `json:"retransmits"`
-	FastRetransmits  uint64  `json:"fast_retransmits"`
-	NacksSent        uint64  `json:"nacks_sent"`
-	QueueAbandoned   uint64  `json:"queue_abandoned"`
+	MatchRate        float64
+	ElapsedVirtualMs float64
+	QueuePeak        int
+	RTOMs            float64
+	Retransmits      uint64
+	FastRetransmits  uint64
+	NacksSent        uint64
+	QueueAbandoned   uint64
 }
 
-// singleLossResult is the NACK-vs-backoff recovery comparison; the
-// gate requires NackMs < BackoffMs.
+// singleLossResult is the NACK-vs-backoff recovery comparison.
 type singleLossResult struct {
-	NackMs          float64 `json:"nack_recovery_ms"`
-	BackoffMs       float64 `json:"backoff_recovery_ms"`
-	NackRetransmits uint64  `json:"nack_mode_retransmits"`
-	FastRetransmits uint64  `json:"nack_mode_fast_retransmits"`
-	BackoffRetrans  uint64  `json:"backoff_mode_retransmits"`
-}
-
-// fanoutDoc is the committed BENCH_PR5.json layout.
-type fanoutDoc struct {
-	Seed       int64             `json:"seed"`
-	Subs       int               `json:"subscribers"`
-	Objects    int               `json:"objects"`
-	Rows       []fanoutRow       `json:"rows"`
-	SingleLoss *singleLossResult `json:"single_loss,omitempty"`
+	NackMs          float64
+	BackoffMs       float64
+	NackRetransmits uint64
+	FastRetransmits uint64
+	BackoffRetrans  uint64
 }
 
 // fanoutStallBudgetMs bounds the blackhole row's virtual elapsed
@@ -67,40 +44,48 @@ const fanoutStallBudgetMs = 2000
 
 // expFanout runs the broadcast fan-out rows and the single-loss
 // recovery comparison on the virtual clock.
-func expFanout(reps int) error {
+//
+// Gates: the blackhole row holds a match rate of exactly 1 across the
+// healthy subscribers and finishes inside its virtual-time stall
+// budget (a pipeline stalled behind the dead peer blows it by an order
+// of magnitude); NACK fast-retransmit recovery beats the pure-backoff
+// baseline outright.
+func expFanout(reps int, m metrics) error {
 	objects := 20 * reps
 	const subs = 4 // 3 healthy + 1 blackholed
 
-	doc := fanoutDoc{Seed: *seed, Subs: subs, Objects: objects}
 	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)  [virtual clock]\n", *seed, *seed)
 
 	row, err := runFanoutBlackhole(objects, subs)
 	if err != nil {
 		return err
 	}
-	doc.Rows = append(doc.Rows, row)
-	fmt.Printf("  %-24s match %.0f%%  elapsed %.0fms (budget %.0fms)  queue-peak %d  rto %.1fms  retrans %d  fast %d  nacks %d\n",
-		row.Name, row.MatchRate*100, row.ElapsedVirtualMs, row.StallBudgetMs,
+	const blackhole = "fanout-blackhole"
+	m.add(blackhole, "match_rate", row.MatchRate, "ratio", is("==", 1))
+	m.add(blackhole, "elapsed_virtual_ms", row.ElapsedVirtualMs, "ms", is("<=", fanoutStallBudgetMs))
+	m.add(blackhole, "queue_peak", float64(row.QueuePeak), "count")
+	m.add(blackhole, "rto_ms", row.RTOMs, "ms")
+	m.add(blackhole, "retransmits", float64(row.Retransmits), "count")
+	m.add(blackhole, "fast_retransmits", float64(row.FastRetransmits), "count")
+	m.add(blackhole, "nacks_sent", float64(row.NacksSent), "count")
+	m.add(blackhole, "queue_abandoned", float64(row.QueueAbandoned), "count")
+	fmt.Printf("  %-24s match %.0f%%  elapsed %.0fms (budget %dms)  queue-peak %d  rto %.1fms  retrans %d  fast %d  nacks %d\n",
+		blackhole, row.MatchRate*100, row.ElapsedVirtualMs, fanoutStallBudgetMs,
 		row.QueuePeak, row.RTOMs, row.Retransmits, row.FastRetransmits, row.NacksSent)
 
 	sl, err := runSingleLossComparison(objects)
 	if err != nil {
 		return err
 	}
-	doc.SingleLoss = sl
+	const singleLoss = "single-loss-recovery"
+	m.add(singleLoss, "nack_recovery_ms", sl.NackMs, "ms",
+		is(">", 0), vsRow("<", 1, singleLoss, "backoff_recovery_ms"))
+	m.add(singleLoss, "backoff_recovery_ms", sl.BackoffMs, "ms", is(">", 0))
+	m.add(singleLoss, "nack_mode_retransmits", float64(sl.NackRetransmits), "count")
+	m.add(singleLoss, "nack_mode_fast_retransmits", float64(sl.FastRetransmits), "count")
+	m.add(singleLoss, "backoff_mode_retransmits", float64(sl.BackoffRetrans), "count")
 	fmt.Printf("  %-24s nack %.0fms vs pure backoff %.0fms (%.1fx faster; fast-retransmits %d)\n",
-		"single-loss-recovery", sl.NackMs, sl.BackoffMs, sl.BackoffMs/sl.NackMs, sl.FastRetransmits)
-
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
-	}
+		singleLoss, sl.NackMs, sl.BackoffMs, sl.BackoffMs/sl.NackMs, sl.FastRetransmits)
 	return nil
 }
 
@@ -200,11 +185,8 @@ func runFanoutBlackhole(objects, subs int) (fanoutRow, error) {
 		delivered += nodes[name].Peer().Stats().Snapshot().ObjectsDelivered
 	}
 	row := fanoutRow{
-		Name:             "fanout-blackhole",
-		Reliable:         true,
 		MatchRate:        float64(delivered) / float64(objects*len(healthy)),
 		ElapsedVirtualMs: float64(elapsedVirtual.Nanoseconds()) / 1e6,
-		StallBudgetMs:    fanoutStallBudgetMs,
 	}
 	pubStats := pub.Peer().Stats().Snapshot()
 	row.Retransmits = pubStats.RelRetransmits

@@ -1,32 +1,23 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
 
+	"pti/internal/benchdoc"
 	"pti/internal/registry"
 	"pti/internal/transport"
 )
 
-// The invoke experiment measures the PR 6 pipelined invoke path: N
+// The invoke experiment measures the pipelined invoke path: N
 // closed-loop invokers calling a remote method with a fixed virtual
 // service time, through the reliable link, at capacity and at 2x
 // overload. Rows report invoke-latency percentiles, goodput and shed
 // counts; a separate comparison pits a pipelined client window against
-// strictly serialized calls on a clean high-latency link. Results are
-// committed as BENCH_PR6.json and gated by cmd/benchdiff:
-//
-//   - every row must finish with zero non-shed failures — a shed is a
-//     contract (typed, retryable), a timeout or decode error is a bug;
-//   - goodput at 2x overload must hold at least half the goodput at
-//     capacity per profile (no congestion collapse under load shed);
-//   - the pipelined window must beat serialized calls outright on the
-//     high-latency link, or the pipelining isn't real.
+// strictly serialized calls on a clean high-latency link.
 
 // invokeWorkers/invokeQueue bound the server: 4 concurrent method
 // executions plus 2 queued invokes; arrival depth beyond 6 is shed.
@@ -38,37 +29,30 @@ const (
 
 // invokeRow is one measured (profile, load) cell.
 type invokeRow struct {
-	Profile          string  `json:"profile"`
-	Load             string  `json:"load"`
-	Invokers         int     `json:"invokers"`
-	Attempts         int     `json:"attempts"`
-	Completed        int     `json:"completed"`
-	Shed             int     `json:"shed"`
-	Failures         int     `json:"failures"`
-	P50Ms            float64 `json:"p50_ms"`
-	P99Ms            float64 `json:"p99_ms"`
-	GoodputPerSec    float64 `json:"goodput_per_sec"`
-	ElapsedVirtualMs float64 `json:"elapsed_virtual_ms"`
+	Invokers         int
+	Attempts         int
+	Completed        int
+	Shed             int
+	Failures         int
+	P50Ms            float64
+	P99Ms            float64
+	GoodputPerSec    float64
+	ElapsedVirtualMs float64
 }
 
-// invokePipeline is the pipelined-vs-serialized comparison; the gate
-// requires PipelinedMs < SerializedMs.
+// invokePipeline is the pipelined-vs-serialized comparison.
 type invokePipeline struct {
-	Calls        int     `json:"calls"`
-	Depth        int     `json:"depth"`
-	LatencyMs    float64 `json:"latency_ms"`
-	SerializedMs float64 `json:"serialized_ms"`
-	PipelinedMs  float64 `json:"pipelined_ms"`
+	Calls        int
+	Depth        int
+	LatencyMs    float64
+	SerializedMs float64
+	PipelinedMs  float64
 }
 
-// invokeDoc is the committed BENCH_PR6.json layout.
-type invokeDoc struct {
-	Seed     int64           `json:"seed"`
-	Workers  int             `json:"workers"`
-	Queue    int             `json:"queue_depth"`
-	Rows     []invokeRow     `json:"invoke_rows"`
-	Pipeline *invokePipeline `json:"invoke_pipeline,omitempty"`
-}
+// invokeNoCollapseFraction is the congestion-collapse floor: goodput
+// at 2x overload must be at least this fraction of goodput at
+// capacity on the same profile.
+const invokeNoCollapseFraction = 0.5
 
 // invokeBenchSvc is the exported service. The service-time knob is an
 // injected func field, NOT a *Peer field: typedesc fingerprints every
@@ -89,9 +73,16 @@ func (s *invokeBenchSvc) Work(n int) int {
 
 // expInvoke runs the invoke-load rows and the pipelined-vs-serialized
 // comparison on the virtual clock.
-func expInvoke(reps int) error {
+//
+// Gates: every row finishes with zero non-shed failures and a nonzero
+// completion count, goodput and p99 (a shed is a typed, retryable
+// contract; a timeout or decode error is a bug); per profile, goodput
+// at 2x overload holds at least half the goodput at capacity, so load
+// shedding prevents congestion collapse rather than renaming it; and
+// the pipelined window beats serialized calls outright on the
+// high-latency link, or the pipelining isn't real.
+func expInvoke(reps int, m metrics) error {
 	attempts := 15 * reps // per invoker
-	doc := invokeDoc{Seed: *seed, Workers: invokeWorkers, Queue: invokeQueue}
 	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)  [virtual clock]\n", *seed, *seed)
 	fmt.Printf("  server budget: %d workers + %d queued, %s service time per call\n",
 		invokeWorkers, invokeQueue, invokeServiceTime)
@@ -105,14 +96,28 @@ func expInvoke(reps int) error {
 	}
 	for _, profile := range []string{"slow", "chaos"} {
 		for _, load := range loads {
-			row, err := runInvokeLoad(profile, load.name, load.invokers, attempts)
+			r, err := runInvokeLoad(profile, load.invokers, attempts)
 			if err != nil {
 				return err
 			}
-			doc.Rows = append(doc.Rows, row)
+			name := profile + "/" + load.name
+			goodputGates := []benchdoc.Gate{is(">", 0)}
+			if load.name != "capacity" {
+				goodputGates = append(goodputGates,
+					vsRow(">=", invokeNoCollapseFraction, profile+"/capacity", "goodput_per_sec"))
+			}
+			m.add(name, "failures", float64(r.Failures), "count", is("==", 0))
+			m.add(name, "completed", float64(r.Completed), "count", is(">", 0))
+			m.add(name, "goodput_per_sec", r.GoodputPerSec, "1/s", goodputGates...)
+			m.add(name, "p99_ms", r.P99Ms, "ms", is(">", 0))
+			m.add(name, "p50_ms", r.P50Ms, "ms")
+			m.add(name, "invokers", float64(r.Invokers), "count")
+			m.add(name, "attempts", float64(r.Attempts), "count")
+			m.add(name, "shed", float64(r.Shed), "count")
+			m.add(name, "elapsed_virtual_ms", r.ElapsedVirtualMs, "ms")
 			fmt.Printf("  %-7s %-10s  %d invokers  p50 %.1fms  p99 %.1fms  goodput %.0f/s  shed %d  failures %d  elapsed %.0fms\n",
-				row.Profile, row.Load, row.Invokers, row.P50Ms, row.P99Ms,
-				row.GoodputPerSec, row.Shed, row.Failures, row.ElapsedVirtualMs)
+				profile, load.name, r.Invokers, r.P50Ms, r.P99Ms,
+				r.GoodputPerSec, r.Shed, r.Failures, r.ElapsedVirtualMs)
 		}
 	}
 
@@ -120,21 +125,15 @@ func expInvoke(reps int) error {
 	if err != nil {
 		return err
 	}
-	doc.Pipeline = &pl
+	const pipeline = "pipelined-vs-serial"
+	m.add(pipeline, "pipelined_ms", pl.PipelinedMs, "ms", is(">", 0), vsRow("<", 1, pipeline, "serialized_ms"))
+	m.add(pipeline, "serialized_ms", pl.SerializedMs, "ms", is(">", 0))
+	m.add(pipeline, "calls", float64(pl.Calls), "count")
+	m.add(pipeline, "depth", float64(pl.Depth), "count")
+	m.add(pipeline, "latency_ms", pl.LatencyMs, "ms")
 	fmt.Printf("  %-18s %d calls at %.0fms latency: pipelined(depth %d) %.0fms vs serialized %.0fms (%.1fx faster)\n",
-		"pipelined-vs-serial", pl.Calls, pl.LatencyMs, pl.Depth,
+		pipeline, pl.Calls, pl.LatencyMs, pl.Depth,
 		pl.PipelinedMs, pl.SerializedMs, pl.SerializedMs/pl.PipelinedMs)
-
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
-	}
 	return nil
 }
 
@@ -158,7 +157,7 @@ func invokeRelOpts() []transport.ReliableOption {
 // goodput and shed counts. Shed calls are not retried: each invoker
 // spends its attempt budget, and the row records how the budget split
 // between completions and sheds.
-func runInvokeLoad(profile, load string, invokers, attempts int) (invokeRow, error) {
+func runInvokeLoad(profile string, invokers, attempts int) (invokeRow, error) {
 	prof, ok := transport.NamedProfile(profile)
 	if !ok {
 		return invokeRow{}, fmt.Errorf("unknown profile %q", profile)
@@ -232,8 +231,6 @@ func runInvokeLoad(profile, load string, invokers, attempts int) (invokeRow, err
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	row := invokeRow{
-		Profile:          profile,
-		Load:             load,
 		Invokers:         invokers,
 		Attempts:         invokers * attempts,
 		Completed:        len(lats),

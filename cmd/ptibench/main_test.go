@@ -1,8 +1,13 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"pti/internal/benchdoc"
 )
 
 // TestMeasure verifies the timing helper's basic arithmetic.
@@ -82,5 +87,38 @@ func TestRunAllExperiments(t *testing.T) {
 	}
 	if err := run("all", 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunWritesBenchDoc runs a comma-separated experiment list with
+// -json set and checks that one doc holds the rows and gates of the
+// experiments that emit them.
+func TestRunWritesBenchDoc(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	defer func(old string) { *jsonOut = old }(*jsonOut)
+	*jsonOut = path
+	if err := run("match,recv", 1); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc benchdoc.Doc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	gates := 0
+	for _, r := range doc.Rows {
+		if r.Experiment != "recv" {
+			t.Fatalf("row of experiment %q, want only recv", r.Experiment)
+		}
+		gates += len(r.Gates)
+	}
+	if doc.Seed != *seed || gates == 0 {
+		t.Fatalf("doc: seed %d, %d rows, %d gates", doc.Seed, len(doc.Rows), gates)
+	}
+	if err := run("match,nonsense", 1); err == nil {
+		t.Error("list with an unknown experiment accepted")
 	}
 }

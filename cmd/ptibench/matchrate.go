@@ -15,7 +15,7 @@ import (
 // relation unifies. The implicit structural rule must subsume
 // explicit subtyping and unify strictly more pairs; the name-only
 // rule over-matches (unsoundly).
-func expMatchRate(reps int) error {
+func expMatchRate(reps int, _ metrics) error {
 	_ = reps
 	corpus := []reflect.Type{
 		reflect.TypeOf(fixtures.PersonA{}),

@@ -1,9 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"pti/internal/fixtures"
@@ -11,60 +12,52 @@ import (
 	"pti/internal/transport"
 )
 
-// The registry experiment measures the PR 9 durable type registry: a
+// The registry experiment measures the durable type registry: a
 // subscriber backed by a file store takes its first delivery cold
 // (one wire description fetch), then crash/restarts and takes the
-// same stream warm — every description preloaded from disk. Results
-// are committed as BENCH_PR9.json and gated by cmd/benchdiff:
-//
-//   - the warm row must report ZERO description fetches — the whole
-//     point of the durable store is that a restart does not re-ask
-//     the network what it already learned;
-//   - the warm row must preload at least one description and beat
-//     the cold row's time-to-first-delivery outright (the cold path
-//     pays the description round-trip, the warm path does not);
-//   - both rows must deliver every message.
+// same stream warm — every description preloaded from disk.
 
-// registryRow is one measured cell (cold or warm) of BENCH_PR9.json.
+// registryRow is one measured cell (cold or warm).
 type registryRow struct {
-	Name           string  `json:"name"`
-	Messages       int     `json:"messages"`
-	Delivered      int     `json:"delivered"`
-	DescFetches    uint64  `json:"desc_fetches"`
-	DescWarmLoaded uint64  `json:"desc_warm_loaded"`
-	DescStoreHits  uint64  `json:"desc_store_hits"`
-	TTFDMs         float64 `json:"ttfd_ms"`
-}
-
-// registryDoc is the committed BENCH_PR9.json layout.
-type registryDoc struct {
-	Seed         int64         `json:"seed"`
-	RegistryRows []registryRow `json:"registry_rows"`
+	Name           string
+	Messages       int
+	Delivered      int
+	DescFetches    uint64
+	DescWarmLoaded uint64
+	DescStoreHits  uint64
+	TTFDMs         float64
 }
 
 // expRegistry runs the cold-vs-warm restart comparison on the virtual
 // clock and reports the description-fetch counters and TTFD per row.
-func expRegistry(reps int) error {
+//
+// Gates: both rows deliver every message; the cold row fetches at
+// least one description, or it is not cold; the warm row fetches none
+// (a restart must not re-ask the network what it already learned),
+// preloads at least one from the store, and beats the cold row's
+// time to first delivery outright, since only the cold path pays the
+// description round trip. TTFD magnitudes track the machine, so the
+// gate compares cold with warm in the same run, never run with run.
+func expRegistry(reps int, m metrics) error {
 	msgs := 10 * reps
 	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)  [virtual clock]\n", *seed, *seed)
 	rows, err := runRegistry(msgs)
 	if err != nil {
 		return err
 	}
-	for _, row := range rows {
+	cold, warm := rows[0], rows[1]
+	m.add(cold.Name, "desc_fetches", float64(cold.DescFetches), "count", is(">=", 1))
+	m.add(warm.Name, "desc_fetches", float64(warm.DescFetches), "count", is("==", 0))
+	m.add(warm.Name, "desc_warm_loaded", float64(warm.DescWarmLoaded), "count", is(">=", 1))
+	m.add(warm.Name, "ttfd_ms", warm.TTFDMs, "ms", vsRow("<", 1, cold.Name, "ttfd_ms"))
+	m.add(cold.Name, "ttfd_ms", cold.TTFDMs, "ms")
+	m.add(cold.Name, "desc_warm_loaded", float64(cold.DescWarmLoaded), "count")
+	for _, r := range []registryRow{cold, warm} {
+		m.add(r.Name, "delivered", float64(r.Delivered), "count", vsRow("==", 1, r.Name, "messages"))
+		m.add(r.Name, "messages", float64(r.Messages), "count")
+		m.add(r.Name, "desc_store_hits", float64(r.DescStoreHits), "count")
 		fmt.Printf("  %-16s delivered %d/%d  desc fetches %d  warm-loaded %d  ttfd %.3fms\n",
-			row.Name, row.Delivered, row.Messages, row.DescFetches, row.DescWarmLoaded, row.TTFDMs)
-	}
-	if *jsonOut != "" {
-		doc := registryDoc{Seed: *seed, RegistryRows: rows}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
+			r.Name, r.Delivered, r.Messages, r.DescFetches, r.DescWarmLoaded, r.TTFDMs)
 	}
 	return nil
 }
@@ -114,12 +107,15 @@ func runRegistry(msgs int) ([]registryRow, error) {
 	// virtual time to first delivery on the current sub incarnation.
 	runPhase := func(name string, node *transport.Node) (registryRow, error) {
 		delivered := make(chan struct{}, msgs)
-		var first time.Time
+		// Handlers run concurrently: the first one records the
+		// time to first delivery, once.
+		var (
+			firstOnce sync.Once
+			ttfd      atomic.Int64
+		)
 		start := f.Clock().Now()
 		if err := node.Peer().OnReceive(fixtures.PersonA{}, func(d transport.Delivery) {
-			if first.IsZero() {
-				first = f.Clock().Now()
-			}
+			firstOnce.Do(func() { ttfd.Store(int64(f.Clock().Now().Sub(start))) })
 			delivered <- struct{}{}
 		}); err != nil {
 			return registryRow{}, err
@@ -146,7 +142,7 @@ func runRegistry(msgs int) ([]registryRow, error) {
 			DescFetches:    st.TypeInfoRequests,
 			DescWarmLoaded: st.DescWarmLoaded,
 			DescStoreHits:  st.DescStoreHits,
-			TTFDMs:         float64(first.Sub(start).Nanoseconds()) / 1e6,
+			TTFDMs:         float64(ttfd.Load()) / 1e6,
 		}, nil
 	}
 

@@ -1,57 +1,35 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
 
+	"pti/internal/benchdoc"
 	"pti/internal/fixtures"
 	"pti/internal/registry"
 	"pti/internal/transport"
 )
 
-// The scale experiment measures the PR 10 fabric scalability work:
-// the sharded frame scheduler, the O(1) busy probe and the lazily
-// spawned reliable loops, exercised by broadcast fan-out plus a crash
-// wave at two fleet sizes. Results are committed as BENCH_PR10.json
-// and gated by cmd/benchdiff:
-//
-//   - match rate must be exactly 1.0 at every fleet size — scale must
-//     not cost delivery;
-//   - the per-peer goroutine cost must stay flat as the fleet grows
-//     (sublinear total growth): the scheduler pool is fixed and idle
-//     reliable links hold no goroutines, so only the per-connection
-//     read loops scale with peers;
-//   - scheduler ops per frame must stay at ~2 (one heap push + one
-//     pop per frame) — a scheduler that re-sorts or thrashes shows up
-//     here;
-//   - each run must finish inside its committed wall-clock budget,
-//     the CI-viability bar.
+// The scale experiment measures the fabric's scalability — the
+// sharded frame scheduler, the O(1) busy probe and the lazily spawned
+// reliable loops — exercised by broadcast fan-out plus a crash wave at
+// two fleet sizes.
 
-// scaleRow is one measured fleet size committed in BENCH_PR10.json.
+// scaleRow is one measured fleet size.
 type scaleRow struct {
-	Name             string  `json:"name"`
-	Peers            int     `json:"peers"`
-	Messages         int     `json:"messages"`
-	MatchRate        float64 `json:"match_rate"`
-	Duplicates       int     `json:"duplicates"`
-	PeakGoroutines   int     `json:"peak_goroutines"`
-	SchedFrames      uint64  `json:"sched_frames"`
-	SchedOpsPerFrame float64 `json:"sched_ops_per_frame"`
-	SchedShards      int     `json:"sched_shards"`
-	PeersPerVirtualS float64 `json:"peers_per_virtual_sec"`
-	ElapsedVirtualMs float64 `json:"elapsed_virtual_ms"`
-	ElapsedWallMs    float64 `json:"elapsed_wall_ms"`
-	WallBudgetMs     float64 `json:"wall_budget_ms"`
-}
-
-// scaleDoc is the committed BENCH_PR10.json layout.
-type scaleDoc struct {
-	Seed      int64      `json:"seed"`
-	ScaleRows []scaleRow `json:"scale_rows"`
+	Peers            int
+	Messages         int
+	MatchRate        float64
+	Duplicates       int
+	PeakGoroutines   int
+	SchedFrames      uint64
+	SchedOpsPerFrame float64
+	SchedShards      int
+	PeersPerVirtualS float64
+	ElapsedVirtualMs float64
+	ElapsedWallMs    float64
 }
 
 // scaleWallBudgetMs is the committed CI-viability budget per run:
@@ -60,34 +38,60 @@ type scaleDoc struct {
 // again blows it by an order of magnitude.
 const scaleWallBudgetMs = 120000
 
+// scaleOpsCeiling bounds scheduler heap ops per delivered frame. The
+// steady state is exactly 2 (one push, one pop); modest headroom
+// covers frames abandoned in the heap at teardown, while a scheduler
+// that re-sorts or thrashes overshoots immediately.
+const scaleOpsCeiling = 2.25
+
+// scaleGoroutineSlack bounds the per-peer goroutine cost at a larger
+// fleet by the next smaller fleet's times this factor: headroom for
+// runtime background goroutines, while per-link parked goroutines
+// creeping back would roughly double the per-peer cost.
+const scaleGoroutineSlack = 1.3
+
 // expScale runs the broadcast fan-out + crash wave soak at two fleet
 // sizes on the virtual clock and reports delivery, goroutine and
 // scheduler-cost metrics.
-func expScale(reps int) error {
+//
+// Gates: every fleet size delivers exactly once (match rate exactly 1,
+// no duplicates); each run finishes inside its committed wall-clock
+// budget; scheduler ops per frame stay within [1, scaleOpsCeiling];
+// and the per-peer goroutine cost stays flat as the fleet grows (the
+// scheduler pool is fixed and idle reliable links hold no goroutines,
+// so only the per-connection read loops scale with peers). Wall times
+// and goroutine counts track the machine, so budgets and the
+// cross-fleet ratio are the gates, never run-vs-run magnitudes.
+func expScale(reps int, m metrics) error {
 	fmt.Printf("  fabric seed: %d (rerun with -seed %d to replay)  [virtual clock]\n", *seed, *seed)
-	rows := make([]scaleRow, 0, 2)
-	for _, peers := range []int{150, 600} {
-		r, err := runScale(peers)
+	prev := ""
+	for _, subs := range []int{150, 600} {
+		r, err := runScale(subs)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %-12s match %.0f%%  dups %d  peakGoroutines %d (%.1f/peer)  schedOps/frame %.2f  shards %d  virtual %.0fms  wall %.0fms (budget %.0fms)\n",
-			r.Name, r.MatchRate*100, r.Duplicates, r.PeakGoroutines,
-			float64(r.PeakGoroutines)/float64(r.Peers), r.SchedOpsPerFrame,
-			r.SchedShards, r.ElapsedVirtualMs, r.ElapsedWallMs, r.WallBudgetMs)
-		rows = append(rows, r)
-	}
-
-	if *jsonOut != "" {
-		doc := scaleDoc{Seed: *seed, ScaleRows: rows}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
+		name := fmt.Sprintf("scale-%d", subs)
+		perPeer := float64(r.PeakGoroutines) / float64(r.Peers)
+		var perPeerGates []benchdoc.Gate
+		if prev != "" {
+			perPeerGates = []benchdoc.Gate{vsRow("<=", scaleGoroutineSlack, prev, "goroutines_per_peer")}
 		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
+		m.add(name, "match_rate", r.MatchRate, "ratio", is("==", 1))
+		m.add(name, "duplicates", float64(r.Duplicates), "count", is("==", 0))
+		m.add(name, "elapsed_wall_ms", r.ElapsedWallMs, "ms", is("<=", scaleWallBudgetMs))
+		m.add(name, "sched_ops_per_frame", r.SchedOpsPerFrame, "count", is(">=", 1), is("<=", scaleOpsCeiling))
+		m.add(name, "peers", float64(r.Peers), "count", is(">", 0))
+		m.add(name, "peak_goroutines", float64(r.PeakGoroutines), "count", is(">", 0))
+		m.add(name, "goroutines_per_peer", perPeer, "count", perPeerGates...)
+		m.add(name, "messages", float64(r.Messages), "count")
+		m.add(name, "sched_frames", float64(r.SchedFrames), "count")
+		m.add(name, "sched_shards", float64(r.SchedShards), "count")
+		m.add(name, "peers_per_virtual_sec", r.PeersPerVirtualS, "1/s")
+		m.add(name, "elapsed_virtual_ms", r.ElapsedVirtualMs, "ms")
+		fmt.Printf("  %-12s match %.0f%%  dups %d  peakGoroutines %d (%.1f/peer)  schedOps/frame %.2f  shards %d  virtual %.0fms  wall %.0fms (budget %dms)\n",
+			name, r.MatchRate*100, r.Duplicates, r.PeakGoroutines, perPeer, r.SchedOpsPerFrame,
+			r.SchedShards, r.ElapsedVirtualMs, r.ElapsedWallMs, scaleWallBudgetMs)
+		prev = name
 	}
 	return nil
 }
@@ -103,6 +107,9 @@ func runScale(nSubs int) (scaleRow, error) {
 	rounds, perRound := 4, 4
 	total := rounds * perRound
 	wallStart := time.Now()
+	// The peak counts this run's goroutines only, not those an earlier
+	// run in the same process left behind.
+	before := runtime.NumGoroutine()
 
 	f := transport.NewFabric(*seed, transport.WithVirtualClock())
 	defer func() { _ = f.Close() }()
@@ -265,18 +272,16 @@ func runScale(nSubs int) (scaleRow, error) {
 		perVirtualS = float64(nSubs+nPubs) / elapsedVirtual.Seconds()
 	}
 	return scaleRow{
-		Name:             fmt.Sprintf("scale-%d", nSubs),
 		Peers:            nSubs + nPubs,
 		Messages:         total,
 		MatchRate:        float64(covered) / float64(total*nSubs),
 		Duplicates:       dups,
-		PeakGoroutines:   peak,
+		PeakGoroutines:   peak - before,
 		SchedFrames:      frames,
 		SchedOpsPerFrame: opsPerFrame,
 		SchedShards:      shards,
 		PeersPerVirtualS: perVirtualS,
 		ElapsedVirtualMs: float64(elapsedVirtual.Nanoseconds()) / 1e6,
 		ElapsedWallMs:    float64(elapsedWall.Nanoseconds()) / 1e6,
-		WallBudgetMs:     scaleWallBudgetMs,
 	}, nil
 }

@@ -8,8 +8,8 @@
 // whose overhead the paper measures in Section 7.1.
 //
 // Go cannot synthesize interface implementations at runtime, so the
-// proxy exposes an explicit Call/Get/Set surface (see DESIGN.md's
-// substitution table); Bind additionally materializes a received
+// proxy exposes an explicit Call/Get/Set surface in place of the
+// paper's transparent proxy (Section 6); Bind additionally materializes a received
 // generic object into a locally registered conformant type, the
 // analogue of deserializing after the assembly download.
 package proxy

@@ -27,9 +27,11 @@ import (
 // decoded payload, so the two paths cannot diverge.
 type EnvelopeReader struct {
 	mu sync.Mutex
-	// shapes is kept most-recently-hit first and bounded; the scan is
-	// a prefix memcmp per entry, diverging within the first few tens
-	// of bytes for a non-matching type.
+	// shapes is kept newest-learned first and bounded; the scan is a
+	// prefix memcmp per entry, diverging within the first few tens of
+	// bytes for a non-matching type. learn only ever replaces the
+	// slice, never writes into its backing array, so Unmarshal scans a
+	// snapshot taken under mu without holding it.
 	shapes []*envShape
 }
 
@@ -57,7 +59,7 @@ func (er *EnvelopeReader) Unmarshal(data, scratch []byte) (*Envelope, []byte, er
 	er.mu.Lock()
 	shapes := er.shapes
 	er.mu.Unlock()
-	for i, s := range shapes {
+	for _, s := range shapes {
 		if len(data) < len(s.prefix)+len(s.suffix) ||
 			!bytes.HasPrefix(data, s.prefix) || !bytes.HasSuffix(data, s.suffix) {
 			continue
@@ -68,9 +70,6 @@ func (er *EnvelopeReader) Unmarshal(data, scratch []byte) (*Envelope, []byte, er
 			// cached shape may still match (nested-prefix shapes), and
 			// otherwise the reflective parser rules on it.
 			continue
-		}
-		if i != 0 {
-			er.promote(s)
 		}
 		e := s.meta
 		e.Payload = payload
@@ -110,20 +109,6 @@ func (er *EnvelopeReader) learn(env *Envelope, doc []byte) {
 	er.shapes = append([]*envShape{s}, er.shapes...)
 	if len(er.shapes) > maxEnvelopeShapes {
 		er.shapes = er.shapes[:maxEnvelopeShapes]
-	}
-}
-
-// promote moves a hit shape to the front so the steady state scans
-// one entry.
-func (er *EnvelopeReader) promote(s *envShape) {
-	er.mu.Lock()
-	defer er.mu.Unlock()
-	for i, have := range er.shapes {
-		if have == s {
-			copy(er.shapes[1:i+1], er.shapes[:i])
-			er.shapes[0] = s
-			return
-		}
 	}
 }
 

@@ -3,8 +3,10 @@ package xmlenc
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -144,5 +146,56 @@ func TestEnvelopeReaderManyShapes(t *testing.T) {
 	}
 	if len(er.shapes) > maxEnvelopeShapes {
 		t.Fatalf("cache grew to %d shapes, bound is %d", len(er.shapes), maxEnvelopeShapes)
+	}
+}
+
+// TestEnvelopeReaderConcurrentShapes decodes two alternating shapes
+// from several goroutines on one reader, as a plain conn's concurrent
+// handlers do. Under -race it pins that a fast-path hit never writes
+// the shape cache that other decoders are scanning.
+func TestEnvelopeReaderConcurrentShapes(t *testing.T) {
+	binary := templateFixture()
+	binary.Payload = []byte("binary payload")
+	soap := templateFixture()
+	soap.Encoding = EncodingSOAP
+	soap.Payload = []byte("soap payload")
+	var docs [2][]byte
+	for i, env := range []*Envelope{binary, soap} {
+		doc, err := MarshalEnvelope(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[i] = doc
+	}
+	want := [2]*Envelope{binary, soap}
+
+	er := &EnvelopeReader{}
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var scratch []byte
+			for i := 0; i < 500; i++ {
+				k := (g + i) % 2
+				var got *Envelope
+				var err error
+				got, scratch, err = er.Unmarshal(docs[k], scratch)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !envEqual(got, want[k]) {
+					errs <- fmt.Errorf("goroutine %d iteration %d: got %+v, want %+v", g, i, got, want[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
