@@ -103,7 +103,6 @@ func runChurn(subs, churned, rounds, perRound int) (churnRow, error) {
 	}
 	pub, err := f.AddPeerWithRegistry("pub", regPub,
 		transport.WithReliableLinks(
-			transport.WithAdaptiveRTO(),
 			transport.WithSendQueue(4*total),
 			transport.WithOverflowPolicy(transport.OverflowError)),
 		transport.WithHeartbeat(50*time.Millisecond),

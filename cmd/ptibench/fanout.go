@@ -106,7 +106,6 @@ func runFanoutBlackhole(objects, subs int) (fanoutRow, error) {
 		transport.WithReliableLinks(
 			transport.WithSendQueue(4*objects),
 			transport.WithWindow(8),
-			transport.WithAdaptiveRTO(),
 			transport.WithRetransmitTimeout(10*time.Millisecond),
 			transport.WithMaxBackoff(80*time.Millisecond),
 			transport.WithMaxAttempts(8)))

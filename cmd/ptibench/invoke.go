@@ -137,15 +137,14 @@ func expInvoke(reps int, m metrics) error {
 	return nil
 }
 
-// invokeRelOpts is the reliable-link shape both sides run: adaptive
-// RTO (the SRTT estimate also feeds the client's pacing window), NACK
-// fast-retransmit by default, bounded backoff so chaos-profile rows
-// converge in bounded virtual time.
+// invokeRelOpts is the reliable-link shape both sides run: a 10ms RTO
+// until the first RTT sample (the SRTT estimate also feeds the
+// client's pacing window), NACK fast-retransmit by default, bounded
+// backoff so chaos-profile rows converge in bounded virtual time.
 func invokeRelOpts() []transport.ReliableOption {
 	return []transport.ReliableOption{
 		transport.WithSendQueue(1024),
 		transport.WithWindow(32),
-		transport.WithAdaptiveRTO(),
 		transport.WithRetransmitTimeout(10 * time.Millisecond),
 		transport.WithMaxBackoff(160 * time.Millisecond),
 	}

@@ -125,7 +125,6 @@ func runScale(nSubs int) (scaleRow, error) {
 		}
 		if _, err := f.AddPeerWithRegistry(pubs[i], regPub,
 			transport.WithReliableLinks(
-				transport.WithAdaptiveRTO(),
 				transport.WithSendQueue(4*total),
 				transport.WithOverflowPolicy(transport.OverflowError)),
 			transport.WithHeartbeat(50*time.Millisecond),

@@ -17,7 +17,8 @@ type scenarioResult struct {
 	MatchRate                          float64
 	TypeInfoReqs, CodeReqs             uint64
 	FramesLost, FramesDuped            uint64
-	Retransmits, Deduped               uint64
+	Retransmits, FastRetransmits       uint64
+	Nacks, Deduped                     uint64
 	ElapsedMs                          float64
 }
 
@@ -36,31 +37,37 @@ type scenarioResult struct {
 // within 0.10 of its profile's ref, the rate the committed run
 // measured (seed 42, 100 objects), headroom for protocol-retry timing.
 // The refs are declared here rather than read from the committed doc,
-// so regenerating BENCH.json cannot move them.
+// so regenerating BENCH.json cannot move them. A reliable row over a
+// link that neither drops nor reorders (inOrder) has no gap to
+// report, so its nacks and fast_retransmits are 0; over a link with
+// no latency at all (instant) no frame outlives its timer either, so
+// its deduped count is 0 too. A nonzero count there is repair traffic
+// for a loss that never happened.
 func expScenario(reps int, m metrics) error {
 	objects := 50 * reps
 	profiles := []struct {
-		name string
-		prof transport.FaultProfile
-		ref  float64
-		note string
+		name             string
+		prof             transport.FaultProfile
+		ref              float64
+		inOrder, instant bool
+		note             string
 	}{
-		{"perfect", transport.FaultProfile{}, 1,
+		{"perfect", transport.FaultProfile{}, 1, true, true,
 			"baseline: every object must land"},
 		{"latency-2ms", transport.FaultProfile{
-			Latency: 2 * time.Millisecond, Jitter: time.Millisecond}, 1,
+			Latency: 2 * time.Millisecond, Jitter: time.Millisecond}, 1, true, false,
 			"pure delay: at-most-once regime, zero loss"},
 		{"lossy-10pct", transport.FaultProfile{
-			Latency: 200 * time.Microsecond, DropRate: 0.10}, 0.89,
+			Latency: 200 * time.Microsecond, DropRate: 0.10}, 0.89, false, false,
 			"drops hit objects and protocol round trips alike"},
 		{"lossy-30pct", transport.FaultProfile{
-			Latency: 200 * time.Microsecond, DropRate: 0.30}, 0.69,
+			Latency: 200 * time.Microsecond, DropRate: 0.30}, 0.69, false, false,
 			"heavy loss: match rate collapses without retry"},
 		{"dup-reorder", transport.FaultProfile{
-			Latency: 200 * time.Microsecond, DupRate: 0.10, ReorderRate: 0.25}, 1.13,
+			Latency: 200 * time.Microsecond, DupRate: 0.10, ReorderRate: 0.25}, 1.13, false, false,
 			"duplicates re-check against the cache; reorder delays only"},
 		{"bandwidth-256KBps", transport.FaultProfile{
-			Bandwidth: 256 * 1024}, 1,
+			Bandwidth: 256 * 1024}, 1, false, false,
 			"shaped link: delivery spread over transmission time"},
 	}
 	modes := []bool{false}
@@ -73,8 +80,8 @@ func expScenario(reps int, m metrics) error {
 		fmt.Printf("  [virtual clock]")
 	}
 	fmt.Println()
-	fmt.Printf("  %-24s %8s %9s %10s %8s %8s %8s %8s\n",
-		"profile", "sent", "received", "delivered", "match", "retrans", "deduped", "elapsed")
+	fmt.Printf("  %-24s %8s %9s %10s %8s %8s %8s %8s %8s\n",
+		"profile", "sent", "received", "delivered", "match", "retrans", "fastrtx", "deduped", "elapsed")
 	for _, pr := range profiles {
 		for _, rel := range modes {
 			res, err := runScenario(pr.prof, rel, objects)
@@ -83,9 +90,16 @@ func expScenario(reps int, m metrics) error {
 			}
 			name := pr.name
 			matchGates := []benchdoc.Gate{drift(">=", pr.ref, -0.10), drift("<=", pr.ref, 0.10)}
+			var gapGates, dupGates []benchdoc.Gate
 			if rel {
 				name += "+rel"
 				matchGates = []benchdoc.Gate{is("==", 1)}
+				if pr.inOrder {
+					gapGates = []benchdoc.Gate{is("==", 0)}
+				}
+				if pr.instant {
+					dupGates = []benchdoc.Gate{is("==", 0)}
+				}
 			}
 			m.add(name, "match_rate", res.MatchRate, "ratio", matchGates...)
 			m.add(name, "sent", float64(res.Sent), "count")
@@ -97,11 +111,13 @@ func expScenario(reps int, m metrics) error {
 			m.add(name, "frames_lost", float64(res.FramesLost), "count")
 			m.add(name, "frames_duplicated", float64(res.FramesDuped), "count")
 			m.add(name, "retransmits", float64(res.Retransmits), "count")
-			m.add(name, "deduped", float64(res.Deduped), "count")
+			m.add(name, "fast_retransmits", float64(res.FastRetransmits), "count", gapGates...)
+			m.add(name, "nacks", float64(res.Nacks), "count", gapGates...)
+			m.add(name, "deduped", float64(res.Deduped), "count", dupGates...)
 			m.add(name, "elapsed_ms", res.ElapsedMs, "ms")
-			fmt.Printf("  %-24s %8d %9d %10d %7.0f%% %8d %8d %8s  %s\n",
+			fmt.Printf("  %-24s %8d %9d %10d %7.0f%% %8d %8d %8d %8s  %s\n",
 				name, res.Sent, res.Received, res.Delivered, res.MatchRate*100,
-				res.Retransmits, res.Deduped,
+				res.Retransmits, res.FastRetransmits, res.Deduped,
 				fmtDur(time.Duration(res.ElapsedMs*1e6)), pr.note)
 		}
 	}
@@ -192,17 +208,19 @@ func runScenario(prof transport.FaultProfile, rel bool, objects int) (scenarioRe
 	pubSt := na.Peer().Stats().Snapshot()
 	fs := f.Stats()
 	return scenarioResult{
-		Sent:         uint64(objects),
-		Received:     st.ObjectsReceived,
-		Delivered:    st.ObjectsDelivered,
-		Dropped:      st.ObjectsDropped,
-		MatchRate:    float64(st.ObjectsDelivered) / float64(objects),
-		TypeInfoReqs: st.TypeInfoRequests,
-		CodeReqs:     st.CodeRequests,
-		FramesLost:   fs.FramesDropped,
-		FramesDuped:  fs.FramesDuplicated,
-		Retransmits:  pubSt.RelRetransmits + st.RelRetransmits,
-		Deduped:      st.RelDeduped + pubSt.RelDeduped,
-		ElapsedMs:    float64(elapsed.Nanoseconds()) / 1e6,
+		Sent:            uint64(objects),
+		Received:        st.ObjectsReceived,
+		Delivered:       st.ObjectsDelivered,
+		Dropped:         st.ObjectsDropped,
+		MatchRate:       float64(st.ObjectsDelivered) / float64(objects),
+		TypeInfoReqs:    st.TypeInfoRequests,
+		CodeReqs:        st.CodeRequests,
+		FramesLost:      fs.FramesDropped,
+		FramesDuped:     fs.FramesDuplicated,
+		Retransmits:     pubSt.RelRetransmits + st.RelRetransmits,
+		FastRetransmits: pubSt.RelFastRetransmits + st.RelFastRetransmits,
+		Nacks:           pubSt.RelNacksSent + st.RelNacksSent,
+		Deduped:         st.RelDeduped + pubSt.RelDeduped,
+		ElapsedMs:       float64(elapsed.Nanoseconds()) / 1e6,
 	}, nil
 }

@@ -18,8 +18,9 @@ type Clock interface {
 	Now() time.Time
 	// NewTimer returns a timer that fires once after d.
 	NewTimer(d time.Duration) Timer
-	// Until returns the duration from Now until t.
-	Until(t time.Time) time.Duration
+	// NewTimerAt returns a timer that fires once at t (at once when t
+	// is not in the future).
+	NewTimerAt(t time.Time) Timer
 }
 
 // Timer is the stoppable one-shot timer surface both clocks provide.
@@ -28,13 +29,21 @@ type Timer interface {
 	C() <-chan time.Time
 	// Stop cancels the timer, reporting whether it was still pending.
 	Stop() bool
-	// Reset re-arms the timer to fire after d, reporting whether it
-	// was still pending. Both implementations consume a
-	// fired-but-undrained tick themselves, so Reset is safe from any
-	// state; a tick that lands concurrently with Reset may still
-	// cause one spurious early wake, which the retransmit and sender
-	// loops tolerate by re-checking deadlines. Each link re-arms one
-	// timer instead of allocating per wake.
+	// ResetAt re-arms the timer to fire at t, reporting whether it was
+	// still pending. Both implementations consume a
+	// fired-but-undrained tick themselves, so ResetAt is safe from any
+	// state; a tick that lands concurrently with it may still cause
+	// one spurious early wake, which the retransmit loop and the
+	// scheduler shards tolerate by re-checking deadlines. Each link
+	// re-arms one timer instead of allocating per wake.
+	//
+	// Waiters that know their deadline arm at it, never at a duration
+	// computed from an earlier reading of the clock: if the clock moves
+	// between the reading and the arming, a relative timer lands after
+	// the deadline, and on the virtual clock a due-but-unfired deadline
+	// can hold time still for good.
+	ResetAt(t time.Time) bool
+	// Reset re-arms the timer to fire after d (ResetAt of now+d).
 	Reset(d time.Duration) bool
 }
 
@@ -42,19 +51,20 @@ type Timer interface {
 
 type realClock struct{}
 
-func (realClock) Now() time.Time                  { return time.Now() }
-func (realClock) Until(t time.Time) time.Duration { return time.Until(t) }
-func (realClock) NewTimer(d time.Duration) Timer  { return realTimer{time.NewTimer(d)} }
+func (realClock) Now() time.Time                 { return time.Now() }
+func (realClock) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
+func (realClock) NewTimerAt(t time.Time) Timer   { return realTimer{time.NewTimer(time.Until(t))} }
 
 type realTimer struct{ t *time.Timer }
 
-func (t realTimer) C() <-chan time.Time { return t.t.C }
-func (t realTimer) Stop() bool          { return t.t.Stop() }
+func (t realTimer) C() <-chan time.Time        { return t.t.C }
+func (t realTimer) Stop() bool                 { return t.t.Stop() }
+func (t realTimer) Reset(d time.Duration) bool { return t.ResetAt(time.Now().Add(d)) }
 
-// Reset stops and drains a fired-but-unread tick before re-arming, so
-// a wake-by-kick that raced the timer's fire cannot leave a stale
+// ResetAt stops and drains a fired-but-unread tick before re-arming,
+// so a wake-by-kick that raced the timer's fire cannot leave a stale
 // tick that would fire the next wait immediately.
-func (t realTimer) Reset(d time.Duration) bool {
+func (t realTimer) ResetAt(at time.Time) bool {
 	pending := t.t.Stop()
 	if !pending {
 		select {
@@ -62,7 +72,7 @@ func (t realTimer) Reset(d time.Duration) bool {
 		default:
 		}
 	}
-	t.t.Reset(d)
+	t.t.Reset(time.Until(at))
 	return pending
 }
 
@@ -180,17 +190,28 @@ func (c *VirtualClock) PendingTimers() int {
 // NewTimer returns a virtual timer firing at now+d. A non-positive d
 // fires immediately.
 func (c *VirtualClock) NewTimer(d time.Duration) Timer {
-	t := &vtimer{clock: c, ch: make(chan time.Time, 1), index: -1}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.newTimerLocked(c.now.Add(d))
+}
+
+// NewTimerAt returns a virtual timer firing at t; a t not after now
+// fires immediately.
+func (c *VirtualClock) NewTimerAt(t time.Time) Timer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.newTimerLocked(t)
+}
+
+func (c *VirtualClock) newTimerLocked(at time.Time) *vtimer {
+	t := &vtimer{clock: c, ch: make(chan time.Time, 1), index: -1, deadline: at}
 	c.mutGen++
-	t.deadline = c.now.Add(d)
-	if d <= 0 {
+	if at.After(c.now) {
+		heap.Push(&c.timers, t)
+	} else {
 		t.fired = true
 		t.ch <- c.now
-	} else {
-		heap.Push(&c.timers, t)
 	}
-	c.mu.Unlock()
 	return t
 }
 
@@ -289,14 +310,16 @@ func (t *vtimer) Stop() bool {
 	return true
 }
 
-// Reset re-arms the timer at now+d, following the Stop-or-drained
+func (t *vtimer) Reset(d time.Duration) bool { return t.ResetAt(t.clock.Now().Add(d)) }
+
+// ResetAt re-arms the timer at at, following the Stop-or-drained
 // contract of the Timer interface. A stale undrained tick is consumed
 // here so the re-armed timer can never deliver a fire from its
 // previous life. A still-queued timer is re-keyed in place with
 // heap.Fix — one O(log n) sift instead of a Remove+Push pair — which
 // is the hot case: every reliable link re-arms one retransmit timer
 // per wake, so at 1000 peers this path dominates event-queue cost.
-func (t *vtimer) Reset(d time.Duration) bool {
+func (t *vtimer) ResetAt(at time.Time) bool {
 	c := t.clock
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -306,10 +329,10 @@ func (t *vtimer) Reset(d time.Duration) bool {
 	default:
 	}
 	t.fired = false
-	t.deadline = c.now.Add(d)
+	t.deadline = at
 	c.mutGen++
 	switch {
-	case d <= 0:
+	case !at.After(c.now):
 		if wasPending {
 			heap.Remove(&c.timers, t.index)
 		}

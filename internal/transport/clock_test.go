@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -225,5 +226,111 @@ func TestVirtualClockStopHaltsAdvance(t *testing.T) {
 	case <-tm.C():
 		t.Error("timer fired on a stopped clock")
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestManualClockAbsoluteTimers: NewTimerAt and ResetAt arm at the
+// instant given, whatever the clock read when the caller computed it;
+// an instant not in the future fires at once.
+func TestManualClockAbsoluteTimers(t *testing.T) {
+	c := NewManualClock()
+	start := c.Now()
+	tm := c.NewTimerAt(start.Add(10 * time.Millisecond))
+	c.Advance(9 * time.Millisecond)
+	select {
+	case <-tm.C():
+		t.Fatal("timer fired before its instant")
+	default:
+	}
+	if !tm.ResetAt(start.Add(12 * time.Millisecond)) {
+		t.Error("ResetAt on a pending timer reported it not pending")
+	}
+	c.Advance(2 * time.Millisecond)
+	select {
+	case <-tm.C():
+		t.Fatal("re-armed timer fired before its instant")
+	default:
+	}
+	c.Advance(time.Millisecond)
+	select {
+	case <-tm.C():
+	default:
+		t.Fatal("re-armed timer did not fire at its instant")
+	}
+	tm.ResetAt(start) // in the past
+	select {
+	case <-tm.C():
+	default:
+		t.Fatal("ResetAt a past instant did not fire at once")
+	}
+	if c.PendingTimers() != 0 {
+		t.Errorf("pending timers = %d, want 0", c.PendingTimers())
+	}
+	select {
+	case <-c.NewTimerAt(start).C():
+	default:
+		t.Fatal("NewTimerAt a past instant did not fire at once")
+	}
+}
+
+// skewClock is a manual clock that moves once, by skew, right after
+// the nth reading at or past from: the auto-advancer stepping in
+// between a waiter reading the clock and arming its timer.
+type skewClock struct {
+	*VirtualClock
+	from  time.Time
+	nth   int32
+	skew  time.Duration
+	count atomic.Int32
+}
+
+func (c *skewClock) Now() time.Time {
+	now := c.VirtualClock.Now()
+	if !now.Before(c.from) && c.count.Add(1) == c.nth {
+		c.VirtualClock.Advance(c.skew)
+	}
+	return now
+}
+
+// TestSchedShardArmsAtHeadDeadline: time moves between the scheduler
+// shard reading the clock and arming its timer for the next frame, and
+// that frame must still deliver at its deadline. A shard arming at a
+// wait computed from the earlier reading lands past the deadline; on
+// the virtual clock the due-but-undelivered head then reads busy, so
+// time never reaches the late timer and the fabric stalls for good.
+func TestSchedShardArmsAtHeadDeadline(t *testing.T) {
+	start := vclockEpoch
+	// The shard reads the clock twice after waking at +10ms: once to
+	// find the first frame due, once to arm for the second.
+	clock := &skewClock{VirtualClock: NewManualClock(),
+		from: start.Add(10 * time.Millisecond), nth: 2, skew: 5 * time.Millisecond}
+	s := &schedShard{clock: clock, kick: make(chan struct{}, 1),
+		done: make(chan struct{}), ops: new(atomic.Uint64)}
+	d := &linkDir{name: "a->b", dst: newFrameBuffer(&fabricBusy{}), shard: s}
+
+	// Both frames are queued before the shard runs, and the one kick is
+	// taken back, so the shard wakes only on its own timer: the test
+	// sees every reading and arming it makes.
+	s.enqueue(d, []byte("first"), start.Add(10*time.Millisecond))
+	s.enqueue(d, []byte("second"), start.Add(20*time.Millisecond))
+	<-s.kick
+	go s.run()
+	defer close(s.done)
+
+	if !waitUntil(2*time.Second, func() bool { return clock.PendingTimers() == 1 }) {
+		t.Fatal("shard never armed its timer")
+	}
+	// The shard wakes at +10ms and delivers the first frame; the clock
+	// moves to +15ms between its reading and its arming for the second.
+	clock.VirtualClock.Advance(10 * time.Millisecond)
+	if !waitUntil(2*time.Second, func() bool {
+		return d.delivered.Load() == 1 && clock.PendingTimers() == 1
+	}) {
+		t.Fatalf("first frame: delivered %d, pending timers %d", d.delivered.Load(), clock.PendingTimers())
+	}
+	clock.VirtualClock.Advance(start.Add(20 * time.Millisecond).Sub(clock.VirtualClock.Now()))
+	if !waitUntil(2*time.Second, func() bool { return d.delivered.Load() == 2 }) {
+		t.Fatalf("frame due at +20ms undelivered at +%v: the shard's timer landed past the deadline",
+			clock.VirtualClock.Now().Sub(start))
 	}
 }

@@ -92,6 +92,10 @@ func newConnWith(p *Peer, rw net.Conn, rel *ReliableLink, owner *Remote) *Conn {
 	c.rrecv.drop = func(reason string) {
 		p.emit(EventDropped, typedesc.TypeRef{}, reason)
 	}
+	// The receiver's drain runs handlers and writes acks, so it is a
+	// handler goroutine: Close waits for it, and the virtual clock holds
+	// still while it runs.
+	c.rrecv.spawn = p.goHandler
 	var created *ReliableLink
 	switch {
 	case rel != nil:
@@ -224,6 +228,11 @@ func (c *Conn) readLoop() {
 			if r := c.rel.Load(); r != nil {
 				r.Nack(m.Body)
 			}
+		case MsgReliableData:
+			// Sequenced here, in wire order: dedup, buffering and gap
+			// reports see frames exactly as they arrived. Handlers,
+			// acks and NACKs go to the receiver's drain goroutine.
+			_ = c.rrecv.handleData(m.Body)
 		default:
 			// Requests may themselves wait for replies on this
 			// connection (the receiver asks the sender for type
@@ -325,15 +334,26 @@ type pendingReply struct {
 	c       *Conn
 	seq     uint64
 	msgType MsgType
-	ch      chan *Message
-	sentAt  time.Time
+	// parked marks a handler waiting on the exchange (requestParked):
+	// await parks it once the request is out, and the settle unparks
+	// it — on the goroutine that routes the reply, so the handler
+	// reads busy again from that instant, not from whenever it is next
+	// scheduled. parkState orders the two: 0 neither yet, 1 parked, 2
+	// settled; a settle before the park cancels it.
+	parked bool
+	ch     chan *Message
+	sentAt time.Time
 
-	once     sync.Once
-	onSettle func()
+	once      sync.Once
+	parkState atomic.Int32
+	onSettle  func()
 }
 
 func (pr *pendingReply) settled() {
 	pr.once.Do(func() {
+		if pr.parked && pr.parkState.Swap(2) == 1 {
+			pr.c.peer.unpark()
+		}
 		if pr.onSettle != nil {
 			pr.onSettle()
 		}
@@ -353,7 +373,7 @@ func (c *Conn) abandon(pr *pendingReply) {
 // startRequest registers a correlated exchange and sends the request,
 // without waiting for the reply — the pipelined half of request. On
 // error the settle hook has already run.
-func (c *Conn) startRequest(t MsgType, body []byte, onSettle func()) (*pendingReply, error) {
+func (c *Conn) startRequest(t MsgType, body []byte, onSettle func(), parked bool) (*pendingReply, error) {
 	fail := func(err error) (*pendingReply, error) {
 		if onSettle != nil {
 			onSettle()
@@ -378,6 +398,7 @@ func (c *Conn) startRequest(t MsgType, body []byte, onSettle func()) (*pendingRe
 		msgType:  t,
 		ch:       make(chan *Message, 1),
 		sentAt:   c.peer.clock.Now(),
+		parked:   parked,
 		onSettle: onSettle,
 	}
 	c.pending[seq] = pr
@@ -398,7 +419,10 @@ func (c *Conn) startRequest(t MsgType, body []byte, onSettle func()) (*pendingRe
 // does not extend its deadline.
 func (pr *pendingReply) await() (*Message, error) {
 	c := pr.c
-	timer := c.peer.clock.NewTimer(c.peer.requestTimeout - c.peer.clock.Now().Sub(pr.sentAt))
+	if pr.parked && pr.parkState.CompareAndSwap(0, 1) {
+		c.peer.park()
+	}
+	timer := c.peer.clock.NewTimerAt(pr.sentAt.Add(c.peer.requestTimeout))
 	defer timer.Stop()
 	select {
 	case m, ok := <-pr.ch:
@@ -424,7 +448,18 @@ func (pr *pendingReply) await() (*Message, error) {
 // hostage for the full request timeout (crash/restart schedules in
 // the simulation fabric hit this constantly).
 func (c *Conn) request(t MsgType, body []byte) (*Message, error) {
-	pr, err := c.startRequest(t, body, nil)
+	return c.roundTrip(t, body, false)
+}
+
+// requestParked is request for a handler: the handler is parked while
+// it waits (see pendingReply.parked), so the exchange's own reply or
+// timeout — not the handler — is what holds virtual time.
+func (c *Conn) requestParked(t MsgType, body []byte) (*Message, error) {
+	return c.roundTrip(t, body, true)
+}
+
+func (c *Conn) roundTrip(t MsgType, body []byte, parked bool) (*Message, error) {
+	pr, err := c.startRequest(t, body, nil, parked)
 	if err != nil {
 		return nil, err
 	}

@@ -151,16 +151,19 @@ func WithVirtualClock() FabricOption {
 //
 // The answer is three atomic loads plus an O(shards) scheduler check:
 // every contributor maintains its counter at its own state
-// transitions (frameBuffer on empty↔nonempty edges, Peer on handler
-// enter/park/unpark/exit, ReliableLink on every admission-state
-// change), and the scheduler reports due-but-undelivered frames whose
-// timers have already consumed themselves. The 20kHz probe therefore
-// costs O(1) in peers and links.
+// transitions (frameBuffer when bytes arrive and when its reader comes
+// back to an empty buffer, Peer on handler enter/park/unpark/exit,
+// ReliableLink on every admission-state change and around each raw
+// send), and the scheduler reports due-but-undelivered frames whose
+// timers have already consumed themselves. A probe that overlaps a
+// release answers busy (fabricBusy.releases). The 20kHz probe
+// therefore costs O(1) in peers and links.
 func (f *Fabric) busy() bool {
-	if !f.fb.idle() {
+	releases := f.fb.releases.Load()
+	if !f.fb.idle() || f.fsched.busy(f.clock.Now()) {
 		return true
 	}
-	return f.fsched.busy(f.clock.Now())
+	return f.fb.releases.Load() != releases
 }
 
 // NamedProfile returns one of the canonical fault profiles the soak
@@ -233,7 +236,7 @@ func NewFabric(seed int64, opts ...FabricOption) *Fabric {
 	// and the scheduler's shard timers must run on the final clock.
 	// The busy probe is installed last — it reads f.fsched, so the
 	// auto-advancer must not see the fabric half-built.
-	f.fsched = newFrameSched(f.clock)
+	f.fsched = newFrameSched(f.clock, f.fb)
 	if f.vclock != nil {
 		f.vclock.SetBusyFunc(f.busy)
 	}
@@ -1001,9 +1004,13 @@ func (a fabricAddr) String() string  { return string(a) }
 // frameBuffer is the receive side of a fabric endpoint: delivered
 // frame bytes accumulate and Read drains them, blocking while empty.
 // After close, buffered bytes still drain before EOF. The buffer
-// maintains the fabric's pending-frames busy counter on its
-// empty↔nonempty edges (the `counted` flag tracks its contribution),
-// so the virtual clock's probe never scans buffers.
+// maintains the fabric's pending-frames busy counter (the `counted`
+// flag tracks its contribution), so the virtual clock's probe never
+// scans buffers. The claim covers the bytes and what the reader does
+// with them: it is taken when bytes arrive and dropped only when the
+// reader comes back to an empty buffer, so a frame the connection's
+// read loop is still sequencing or handing to a handler never reads as
+// idle.
 type frameBuffer struct {
 	busy *fabricBusy
 
@@ -1020,13 +1027,12 @@ func newFrameBuffer(busy *fabricBusy) *frameBuffer {
 	return b
 }
 
-// syncBusyLocked reconciles the buffer's busy-counter contribution
-// with its state: counted while it holds undrained bytes on a live
-// endpoint. A closed buffer withdraws its claim — its remaining bytes
-// drain on a dying conn's read loop and must not hold virtual time
-// still if that reader never comes.
-func (b *frameBuffer) syncBusyLocked() {
-	want := len(b.data) > 0 && !b.closed
+// claimLocked sets the buffer's busy-counter contribution. A closed
+// buffer withdraws its claim — its remaining bytes drain on a dying
+// conn's read loop and must not hold virtual time still if that
+// reader never comes.
+func (b *frameBuffer) claimLocked(want bool) {
+	want = want && !b.closed
 	if want == b.counted {
 		return
 	}
@@ -1034,7 +1040,7 @@ func (b *frameBuffer) syncBusyLocked() {
 	if want {
 		b.busy.frames.Add(1)
 	} else {
-		b.busy.frames.Add(-1)
+		b.busy.release(&b.busy.frames)
 	}
 }
 
@@ -1048,7 +1054,7 @@ func (b *frameBuffer) push(p []byte) bool {
 		return false
 	}
 	b.data = append(b.data, p...)
-	b.syncBusyLocked()
+	b.claimLocked(true)
 	b.cond.Broadcast()
 	return true
 }
@@ -1057,6 +1063,7 @@ func (b *frameBuffer) Read(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for len(b.data) == 0 && !b.closed {
+		b.claimLocked(false) // the reader is done with what it took
 		b.cond.Wait()
 	}
 	if len(b.data) == 0 {
@@ -1064,14 +1071,13 @@ func (b *frameBuffer) Read(p []byte) (int, error) {
 	}
 	n := copy(p, b.data)
 	b.data = b.data[n:]
-	b.syncBusyLocked()
 	return n, nil
 }
 
 func (b *frameBuffer) close() {
 	b.mu.Lock()
 	b.closed = true
-	b.syncBusyLocked()
+	b.claimLocked(false)
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }

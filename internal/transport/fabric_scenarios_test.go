@@ -874,6 +874,75 @@ func TestScenarioReliableChaosExactlyOnceInOrder(t *testing.T) {
 	}
 }
 
+// TestScenarioReliableHandlersSerialInSendOrder pins OnReceive's
+// contract on reliable connections: over a link that duplicates and
+// reorders frames, and with a handler slow enough for the next frames
+// to arrive while it runs, one handler runs at a time per connection
+// and deliveries follow send order, each exactly once.
+func TestScenarioReliableHandlersSerialInSendOrder(t *testing.T) {
+	seed := scenarioSeed(t, 1313)
+	defer func() {
+		if t.Failed() {
+			t.Logf("replay with PTI_SEED=%d", seed)
+		}
+	}()
+	dupReorder := FaultProfile{Latency: 200 * time.Microsecond, DupRate: 0.10, ReorderRate: 0.25}
+	rel := []PeerOption{
+		WithReliableLinks(WithRetransmitTimeout(5 * time.Millisecond)),
+		WithRequestTimeout(2 * time.Second),
+	}
+	f, na, nb := fabricPairOpts(t, seed, dupReorder, []FabricOption{WithVirtualClock()}, rel, rel)
+
+	var running, overlaps atomic.Int32
+	var mu sync.Mutex
+	var ages []int
+	if err := nb.Peer().OnReceive(fixtures.PersonA{}, func(d Delivery) {
+		if running.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		time.Sleep(time.Millisecond) // slow: later frames land meanwhile
+		mu.Lock()
+		ages = append(ages, d.Bound.(*fixtures.PersonA).Age)
+		mu.Unlock()
+		running.Add(-1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ca, _ := na.ConnTo("b")
+	const n = 60
+	for i := 0; i < n; i++ {
+		if err := na.Peer().SendObject(ca, fixtures.PersonB{PersonName: "serial", PersonAge: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !waitUntil(30*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(ages) == n
+	}) {
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("delivered %d/%d", len(ages), n)
+	}
+	time.Sleep(20 * time.Millisecond) // a duplicate delivery would land here
+	if got := overlaps.Load(); got != 0 {
+		t.Errorf("%d handler calls overlapped another on the same reliable conn", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, age := range ages {
+		if age != i {
+			t.Fatalf("delivery %d = age %d, want send order (ages=%v)", i, age, ages)
+		}
+	}
+	if len(ages) != n {
+		t.Errorf("deliveries = %d, want exactly %d", len(ages), n)
+	}
+	if fs := f.Stats(); fs.FramesDuplicated == 0 || fs.FramesReordered == 0 {
+		t.Errorf("profile injected no duplicates or reorders: %+v", fs)
+	}
+}
+
 // TestScenarioReliableWindowBoundsRetransmitStorm pins the window
 // invariant under a blackhole: with the data direction cut, Send
 // backpressures at the window bound, no more than Window object

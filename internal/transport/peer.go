@@ -368,9 +368,13 @@ func (p *Peer) RemoteDescriptions() *typedesc.Repository { return p.remote }
 // received object is matched against interests in registration order;
 // the first conformant one gets the delivery.
 //
-// Handlers may be invoked concurrently (each incoming message is
-// processed on its own goroutine); handlers sharing state must
-// synchronize.
+// Handlers never run on a connection's read loop, and how they run
+// depends on how the sender sends. Objects from a plain connection
+// each get their own goroutine, so handlers may run concurrently and
+// in any order; handlers sharing state must synchronize. Objects from
+// a reliable connection (WithReliableLinks on the sender) run one at a
+// time per connection, in the order they were sent, and each is acked
+// only after its handler returns.
 func (p *Peer) OnReceive(v interface{}, handler func(Delivery)) error {
 	t, ok := v.(reflect.Type)
 	if !ok {
@@ -684,6 +688,20 @@ func (p *Peer) handleAsync(c *Conn, m *Message) {
 	}()
 }
 
+// goHandler runs f on a handler goroutine, counted as handleAsync
+// counts its own: from before the goroutine exists, so the virtual
+// clock cannot advance through the gap, and on handlerWG, so Close
+// waits for it.
+func (p *Peer) goHandler(f func()) {
+	p.handlerWG.Add(1)
+	p.handlerEnter()
+	go func() {
+		defer p.handlerWG.Done()
+		defer p.handlerExit()
+		f()
+	}()
+}
+
 // handlerEnter/handlerExit bracket a handler's lifetime on the
 // counters: the peer's own active count, and — on a fabric peer — the
 // shared busy aggregate the virtual clock probes.
@@ -697,7 +715,7 @@ func (p *Peer) handlerEnter() {
 func (p *Peer) handlerExit() {
 	p.activeHandlers.Add(-1)
 	if p.busyRef != nil {
-		p.busyRef.handlers.Add(-1)
+		p.busyRef.release(&p.busyRef.handlers)
 	}
 }
 
@@ -705,13 +723,14 @@ func (p *Peer) handlerExit() {
 // (a description/code fetch, a single-flight claim): a parked
 // handler makes no progress on its own, so it must not hold the
 // virtual clock still. These are called only from handler-context
-// call sites — never from Conn.request itself, which application
-// goroutines also use; a parked non-handler must not cancel out a
-// handler that is genuinely executing.
+// call sites (Conn.requestParked is the request form) — never from
+// Conn.request itself, which application goroutines also use; a
+// parked non-handler must not cancel out a handler that is genuinely
+// executing.
 func (p *Peer) park() {
 	p.parkedHandlers.Add(1)
 	if p.busyRef != nil {
-		p.busyRef.handlers.Add(-1)
+		p.busyRef.release(&p.busyRef.handlers)
 	}
 }
 
@@ -724,10 +743,6 @@ func (p *Peer) unpark() {
 
 func (p *Peer) handleRequest(c *Conn, m *Message) {
 	switch m.Type {
-	case MsgReliableData:
-		// Dedup + in-order buffering; accepted inner messages come
-		// back through this switch via the receiver's dispatcher.
-		_ = c.rrecv.handleData(m.Body)
 	case MsgObject:
 		p.handleObject(c, m)
 	case MsgTypeInfoRequest:
@@ -1253,7 +1268,7 @@ func (p *Peer) recvFPFor(src typedesc.TypeRef) string {
 // never share a flight) collapse into one request (single flight), so
 // a flash crowd of objects of a new type costs one round trip, not
 // one per object.
-func (p *Peer) ensureDescription(l Link, ref typedesc.TypeRef) (*typedesc.TypeDescription, error) {
+func (p *Peer) ensureDescription(c *Conn, ref typedesc.TypeRef) (*typedesc.TypeDescription, error) {
 	for attempt := 0; attempt < 3; attempt++ {
 		if d, err := p.reg.Resolve(ref); err == nil {
 			p.stats.descriptorHits.Add(1)
@@ -1272,7 +1287,13 @@ func (p *Peer) ensureDescription(l Link, ref typedesc.TypeRef) (*typedesc.TypeDe
 			wait()
 			continue
 		}
-		d, err := p.fetchDescription(l, ref)
+		if _, err := p.remote.Resolve(ref); err == nil {
+			// A fetch finished between the lookup above and the claim:
+			// take its result instead of fetching again.
+			p.release("desc|" + ref.String())
+			continue
+		}
+		d, err := p.fetchDescription(c, ref)
 		p.release("desc|" + ref.String())
 		return d, err
 	}
@@ -1309,12 +1330,11 @@ func (p *Peer) storeLearnedDescription(d *typedesc.TypeDescription) {
 	_ = registry.StoreDescription(p.store, d)
 }
 
-func (p *Peer) fetchDescription(l Link, ref typedesc.TypeRef) (*typedesc.TypeDescription, error) {
+func (p *Peer) fetchDescription(c *Conn, ref typedesc.TypeRef) (*typedesc.TypeDescription, error) {
 	p.stats.typeInfoRequests.Add(1)
 	p.emit(EventTypeInfoRequested, ref, "")
-	p.park() // handler context: the reply or its timeout resolves this
-	reply, err := l.Request(MsgTypeInfoRequest, encodeRef(ref))
-	p.unpark()
+	// Handler context: the reply or its timeout resolves this.
+	reply, err := c.requestParked(MsgTypeInfoRequest, encodeRef(ref))
 	if err != nil {
 		return nil, fmt.Errorf("transport: type info for %s: %w", ref, err)
 	}
@@ -1382,7 +1402,7 @@ func (p *Peer) release(key string) {
 // downloadCodeOnce performs the Figure 1 code exchange the first time
 // a type is seen. A failed download is not fatal: the object can
 // still be delivered as a generic view.
-func (p *Peer) downloadCodeOnce(l Link, ref typedesc.TypeRef, d *typedesc.TypeDescription) {
+func (p *Peer) downloadCodeOnce(c *Conn, ref typedesc.TypeRef, d *typedesc.TypeDescription) {
 	for attempt := 0; attempt < 3; attempt++ {
 		if p.codeSeenBefore(d) {
 			return
@@ -1392,11 +1412,13 @@ func (p *Peer) downloadCodeOnce(l Link, ref typedesc.TypeRef, d *typedesc.TypeDe
 			wait()
 			continue
 		}
+		if p.codeSeenBefore(d) { // a download finished since the check above
+			p.release("code|" + d.Identity.String())
+			return
+		}
 		p.stats.codeRequests.Add(1)
 		p.emit(EventCodeRequested, ref, "")
-		p.park() // handler context, as in fetchDescription
-		_, err := l.Request(MsgCodeRequest, encodeRef(ref))
-		p.unpark()
+		_, err := c.requestParked(MsgCodeRequest, encodeRef(ref)) // handler context, as in fetchDescription
 		if err == nil {
 			p.markCodeSeen(d)
 		}

@@ -34,25 +34,29 @@ import (
 // decides what a full queue does: block the enqueuer (default), shed
 // the oldest queued object frame with a counter, or fail fast.
 //
-// Two optional upgrades sharpen the retransmit machinery. Adaptive
-// RTO (WithAdaptiveRTO) replaces the fixed initial timer with a
+// The retransmit timeout follows one rule, RFC 6298's: a
 // Jacobson/Karels estimate from measured per-link RTT — SRTT/RTTVAR
 // updated only from frames transmitted exactly once (Karn's rule),
-// clamped to [MinRTO, MaxBackoff]. NACK fast-retransmit closes the
-// other half of the loop from the receive side: a receiver that
-// observes a sequence gap reports the missing seqs in a
-// MsgReliableNack, and the sender repairs them immediately instead of
-// waiting out a full backoff interval; the timer remains the backstop
-// for lost NACKs.
+// clamped to [MinRTO, MaxBackoff]. RetransmitTimeout is the value
+// before the first sample, and a timer expiry backs the link's
+// timeout off (§5.5) until the next clean sample replaces it. NACK
+// fast-retransmit closes the other half of the loop from the receive
+// side: a receiver that observes a sequence gap reports the missing
+// seqs in a MsgReliableNack, and the sender repairs them immediately
+// instead of waiting out a full backoff interval; the timer remains
+// the backstop for lost NACKs.
 //
 // Receiver side (relReceiver, armed on every Conn unconditionally so
-// only the sender has to opt in): frames are deduplicated by (epoch,
-// seq), buffered until contiguous, acknowledged cumulatively, and
-// dispatched strictly in sequence order — exactly-once, in-order
-// delivery over links that drop, duplicate and reorder. Correlated
-// replies bypass the in-order queue (their Seq field already pairs
-// them with their request), which is what keeps a blocked in-order
-// dispatch from deadlocking the description fetch it is waiting on.
+// only the sender has to opt in): the connection's read loop hands it
+// every data frame in wire order, and it deduplicates by (epoch,
+// seq), buffers until contiguous and reports gaps right there. Handlers
+// run off the read loop, one at a time and strictly in sequence order,
+// and each frame is acknowledged cumulatively once its handler returns
+// — exactly-once, in-order delivery over links that drop, duplicate
+// and reorder. Correlated replies bypass the in-order queue (their Seq
+// field already pairs them with their request), which is what keeps a
+// blocked in-order dispatch from deadlocking the description fetch it
+// is waiting on.
 //
 // Epochs make restarts safe: each ReliableLink instance draws a fresh
 // epoch from a process-wide monotonic counter (randomly seeded, so
@@ -140,12 +144,12 @@ type ReliableConfig struct {
 	// the window so flow control can never deadlock a protocol round
 	// trip, but they are still sequenced, retransmitted and deduped.
 	Window int
-	// RetransmitTimeout is the initial retransmit timer; each
-	// retransmission doubles it up to MaxBackoff. With AdaptiveRTO it
-	// is only the pre-measurement fallback.
+	// RetransmitTimeout is the retransmit timeout before the first RTT
+	// sample; from then on the measured estimate applies. Each
+	// retransmission doubles a frame's interval up to MaxBackoff.
 	RetransmitTimeout time.Duration
 	// MaxBackoff caps the per-frame retransmit interval (and the
-	// adaptive RTO).
+	// estimated RTO).
 	MaxBackoff time.Duration
 	// MaxAttempts fails the link when a frame has been transmitted
 	// this many times without an ack (0 = keep trying until the link
@@ -157,11 +161,7 @@ type ReliableConfig struct {
 	SendQueue int
 	// Overflow picks the full-queue policy (default OverflowBlock).
 	Overflow OverflowPolicy
-	// AdaptiveRTO derives the retransmit timeout from measured RTT
-	// (SRTT + 4·RTTVAR, Jacobson/Karels) instead of the fixed
-	// RetransmitTimeout.
-	AdaptiveRTO bool
-	// MinRTO floors the adaptive RTO so a fast LAN measurement can
+	// MinRTO floors the estimated RTO so a fast LAN measurement can
 	// never spin the retransmit timer (default 2ms).
 	MinRTO time.Duration
 	// FastRetransmit reacts to receiver gap reports (MsgReliableNack)
@@ -193,8 +193,9 @@ func WithWindow(n int) ReliableOption {
 	}
 }
 
-// WithRetransmitTimeout sets the initial retransmit timer
-// (default 20ms); backoff doubles it per attempt.
+// WithRetransmitTimeout sets the retransmit timeout used until the
+// link's first RTT sample (default 20ms); backoff doubles it per
+// attempt.
 func WithRetransmitTimeout(d time.Duration) ReliableOption {
 	return func(c *ReliableConfig) {
 		if d > 0 {
@@ -243,16 +244,16 @@ func WithOverflowPolicy(p OverflowPolicy) ReliableOption {
 	}
 }
 
-// WithAdaptiveRTO switches the retransmit timer to the measured-RTT
-// estimate: SRTT + 4·RTTVAR (Jacobson/Karels), sampled only from
-// frames transmitted exactly once (Karn's rule), clamped to
-// [MinRTO, MaxBackoff]. Until the first sample the configured
-// RetransmitTimeout applies.
+// WithAdaptiveRTO does nothing: the measured-RTT estimate (SRTT +
+// 4·RTTVAR, Karn sampling, clamped to [MinRTO, MaxBackoff]) is the
+// only retransmit-timeout rule.
+//
+// Deprecated: every reliable link estimates its RTO; drop the option.
 func WithAdaptiveRTO() ReliableOption {
-	return func(c *ReliableConfig) { c.AdaptiveRTO = true }
+	return func(*ReliableConfig) {}
 }
 
-// WithMinRTO floors the adaptive RTO (default 2ms).
+// WithMinRTO floors the estimated RTO (default 2ms).
 func WithMinRTO(d time.Duration) ReliableOption {
 	return func(c *ReliableConfig) {
 		if d > 0 {
@@ -422,7 +423,7 @@ type relEntry struct {
 
 // ReliableLink decorates any Link with exactly-once in-order
 // delivery: sequence framing, positive cumulative acks, retransmit
-// with exponential backoff (fixed or RTT-adaptive), NACK-driven fast
+// with exponential backoff from the measured RTO, NACK-driven fast
 // retransmit, a bounded in-flight window, and optionally an
 // asynchronous bounded send queue. Peers built with WithReliableLinks
 // attach one to every connection automatically; NewReliableLink
@@ -432,6 +433,15 @@ type ReliableLink struct {
 	clock Clock
 	stats *Stats // optional peer counters, nil for standalone links
 	cfg   ReliableConfig
+
+	// sendMu orders first transmissions: it is held from a frame's
+	// sequence number assignment until its raw send returns, so frames
+	// reach the wire in sequence order even when replies, requests and
+	// the pipeline's sender send concurrently. (Assigned under mu and
+	// written after it, two frames could swap on the wire and the
+	// receiver would report a gap that no loss caused.) It is taken
+	// before mu and released while waiting for window room.
+	sendMu sync.Mutex
 
 	mu             sync.Mutex
 	cond           *sync.Cond
@@ -445,9 +455,13 @@ type ReliableLink struct {
 	queueDropped   uint64
 	queueAbandoned uint64
 	est            rttEstimator
-	lastSendErr    error
-	closed         bool
-	err            error
+	// rto is the timeout new frames start from: RetransmitTimeout
+	// until the first clean sample, then the clamped estimate, backed
+	// off by timer expiries until the next clean sample.
+	rto         time.Duration
+	lastSendErr error
+	closed      bool
+	err         error
 	// managed marks a link owned by a Remote (see health.go): a send
 	// failure or conn teardown detaches it — parks the machinery with
 	// the window intact — instead of killing it, so a redial can
@@ -524,6 +538,7 @@ func newReliableLink(raw Link, clock Clock, stats *Stats, fb *fabricBusy, cfg Re
 		cfg:      cfg,
 		epoch:    nextRelEpoch(),
 		nextSeq:  1,
+		rto:      cfg.RetransmitTimeout,
 		inflight: make(map[uint64]*relEntry),
 		kick:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
@@ -562,6 +577,8 @@ func (r *ReliableLink) Send(m *Message) error {
 	// would deadlock the link: the peer's in-order dispatch may be
 	// waiting on that very reply, and no ack advances the window
 	// until the dispatch returns.
+	r.sendMu.Lock()
+	defer r.sendMu.Unlock()
 	r.mu.Lock()
 	if err := r.admitLocked(isData); err != nil {
 		r.mu.Unlock()
@@ -571,6 +588,8 @@ func (r *ReliableLink) Send(m *Message) error {
 	r.ensureRetransLocked()
 	r.updateRunnableLocked()
 	raw := r.raw
+	r.wireBusy(1)
+	defer r.wireBusy(-1)
 	r.mu.Unlock()
 
 	if r.stats != nil {
@@ -640,7 +659,8 @@ func (r *ReliableLink) admitStepLocked(isData bool) (wait bool, err error) {
 
 // admitLocked blocks on the condition variable until admitStepLocked
 // admits a frame of the given kind or fails the link. Caller holds
-// r.mu.
+// r.sendMu and r.mu; while waiting it holds neither, so a frame
+// waiting for window room never holds up a control frame's turn.
 func (r *ReliableLink) admitLocked(isData bool) error {
 	for {
 		wait, err := r.admitStepLocked(isData)
@@ -650,26 +670,30 @@ func (r *ReliableLink) admitLocked(isData bool) error {
 		if !wait {
 			return nil
 		}
+		r.sendMu.Unlock()
 		r.cond.Wait()
+		r.mu.Unlock()
+		r.sendMu.Lock()
+		r.mu.Lock()
 	}
 }
 
 // registerLocked assigns the next sequence number to m, places the
 // frame in the in-flight set and returns the encoded wire frame.
-// Caller holds r.mu and has passed admitLocked.
+// Caller holds r.sendMu and r.mu, has passed admission, and sends the
+// frame before releasing r.sendMu.
 func (r *ReliableLink) registerLocked(m *Message, isData bool) []byte {
 	seq := r.nextSeq
 	r.nextSeq++ // wraps to 0 at the end of the space: the admit sentinel
 	frame := encodeRelData(r.epoch, seq, m)
 	now := r.clock.Now()
-	rto := r.currentRTOLocked()
 	e := &relEntry{
 		seq:      seq,
 		data:     isData,
 		frame:    frame,
 		sentAt:   now,
-		backoff:  rto,
-		deadline: now.Add(rto),
+		backoff:  r.rto,
+		deadline: now.Add(r.rto),
 		attempts: 1,
 	}
 	r.inflight[seq] = e
@@ -677,23 +701,6 @@ func (r *ReliableLink) registerLocked(m *Message, isData bool) []byte {
 		r.inflightData++
 	}
 	return frame
-}
-
-// currentRTOLocked returns the retransmit timeout new frames start
-// from: the Jacobson estimate once AdaptiveRTO has a sample, the
-// configured fixed timer otherwise. Caller holds r.mu.
-func (r *ReliableLink) currentRTOLocked() time.Duration {
-	if !r.cfg.AdaptiveRTO || r.est.samples == 0 {
-		return r.cfg.RetransmitTimeout
-	}
-	rto := r.est.rto()
-	if rto < r.cfg.MinRTO {
-		rto = r.cfg.MinRTO
-	}
-	if rto > r.cfg.MaxBackoff {
-		rto = r.cfg.MaxBackoff
-	}
-	return rto
 }
 
 // enqueue appends m to the pipeline's bounded queue, applying the
@@ -767,11 +774,13 @@ func (r *ReliableLink) oldestQueuedDataLocked() int {
 // same critical section as the exit decision so the next enqueue (or
 // resume) respawns without racing a stale flag.
 func (r *ReliableLink) senderLoop() {
-	r.mu.Lock()
 	for {
+		r.sendMu.Lock()
+		r.mu.Lock()
 		if r.closed || r.detached || len(r.queue) == 0 {
 			r.senderActive = false
 			r.mu.Unlock()
+			r.sendMu.Unlock()
 			return
 		}
 		m := r.queue[0]
@@ -780,6 +789,7 @@ func (r *ReliableLink) senderLoop() {
 		if err != nil {
 			r.senderActive = false
 			r.mu.Unlock()
+			r.sendMu.Unlock()
 			return
 		}
 		if wait {
@@ -789,7 +799,9 @@ func (r *ReliableLink) senderLoop() {
 			// wait or the virtual clock could never advance to the
 			// retransmit deadline that produces that ack.
 			r.updateRunnableLocked()
+			r.sendMu.Unlock()
 			r.cond.Wait()
+			r.mu.Unlock()
 			continue
 		}
 		r.queue[0] = nil
@@ -799,12 +811,16 @@ func (r *ReliableLink) senderLoop() {
 		r.updateRunnableLocked()
 		raw := r.raw
 		r.cond.Broadcast() // queue shrank: unblock full-queue enqueuers
+		r.wireBusy(1)
 		r.mu.Unlock()
 
 		if r.stats != nil {
 			r.stats.relDataSent.Add(1)
 		}
-		if err := raw.Send(&Message{Type: MsgReliableData, Body: frame}); err != nil {
+		err = raw.Send(&Message{Type: MsgReliableData, Body: frame})
+		r.wireBusy(-1)
+		r.sendMu.Unlock()
+		if err != nil {
 			if !r.failSend(err) {
 				r.mu.Lock()
 				r.senderActive = false
@@ -814,7 +830,6 @@ func (r *ReliableLink) senderLoop() {
 		} else {
 			r.kickLoop()
 		}
-		r.mu.Lock()
 	}
 }
 
@@ -900,7 +915,22 @@ func (r *ReliableLink) updateRunnableLocked() {
 	if now {
 		r.busyRef.pipelines.Add(1)
 	} else {
-		r.busyRef.pipelines.Add(-1)
+		r.busyRef.release(&r.busyRef.pipelines)
+	}
+}
+
+// wireBusy counts a registered frame on its way to the raw link into
+// the fabric's pipelines counter (delta +1 before the link's lock is
+// released, -1 once the raw send returns): the frame's retransmit
+// deadline already runs, and virtual time must not reach it while the
+// frame has not even left.
+func (r *ReliableLink) wireBusy(delta int64) {
+	switch {
+	case r.busyRef == nil:
+	case delta < 0:
+		r.busyRef.release(&r.busyRef.pipelines)
+	default:
+		r.busyRef.pipelines.Add(delta)
 	}
 }
 
@@ -938,7 +968,8 @@ func (r *ReliableLink) Request(t MsgType, body []byte) (*Message, error) {
 
 // Ack processes a cumulative acknowledgement body, releasing every
 // in-flight frame it covers and feeding the RTT estimator (Karn's
-// rule: only frames transmitted exactly once produce samples).
+// rule: only frames transmitted exactly once produce samples). A
+// clean sample replaces the link's RTO, ending any back-off.
 // Conn-attached links are fed automatically from the connection's
 // read loop.
 func (r *ReliableLink) Ack(body []byte) {
@@ -953,16 +984,21 @@ func (r *ReliableLink) Ack(body []byte) {
 		return
 	}
 	r.acked = cum
+	sampled := false
 	for seq, e := range r.inflight {
 		if seq <= cum {
 			delete(r.inflight, seq)
 			if e.data {
 				r.inflightData--
 			}
-			if r.cfg.AdaptiveRTO && e.attempts == 1 {
+			if e.attempts == 1 {
 				r.est.observe(now.Sub(e.sentAt))
+				sampled = true
 			}
 		}
+	}
+	if sampled {
+		r.rto = min(max(r.est.rto(), r.cfg.MinRTO), r.cfg.MaxBackoff)
 	}
 	r.ensureSenderLocked()
 	r.updateRunnableLocked()
@@ -1026,21 +1062,24 @@ func (r *ReliableLink) Nack(body []byte) {
 }
 
 // retransmitLoop resends unacked frames when their deadlines pass,
-// doubling each frame's backoff per attempt. One timer is re-armed
-// across waits (Timer.Reset) so the loop costs no per-wake
-// allocation. The loop is spawned lazily by ensureRetransLocked and
-// exits — instead of parking — once nothing is in flight, the link
-// detaches (deadlines freeze until the resume replay rearms them and
-// respawns the loop), or it closes; the flag clears in the same
-// critical section as the exit decision so a concurrent registration
-// can never see a stale flag and skip the respawn.
+// doubling each frame's backoff per attempt; an expiry also backs the
+// link's RTO off to the doubled interval, so frames registered later
+// start from it (RFC 6298 §5.5) instead of expiring the same way. One
+// timer is re-armed at the earliest deadline across waits
+// (Timer.ResetAt) so the loop costs no per-wake allocation. The loop
+// is spawned lazily by ensureRetransLocked and exits — instead of
+// parking — once nothing is in flight, the link detaches (deadlines
+// freeze until the resume replay rearms them and respawns the loop),
+// or it closes; the flag clears in the same critical section as the
+// exit decision so a concurrent registration can never see a stale
+// flag and skip the respawn.
 func (r *ReliableLink) retransmitLoop() {
 	var timer Timer
-	wait := func(d time.Duration) bool { // false: shut down
+	wait := func(at time.Time) bool { // false: shut down
 		if timer == nil {
-			timer = r.clock.NewTimer(d)
+			timer = r.clock.NewTimerAt(at)
 		} else {
-			timer.Reset(d)
+			timer.ResetAt(at)
 		}
 		select {
 		case <-timer.C():
@@ -1066,9 +1105,9 @@ func (r *ReliableLink) retransmitLoop() {
 			}
 		}
 		now := r.clock.Now()
-		if d := earliest.Sub(now); d > 0 {
+		if earliest.After(now) {
 			r.mu.Unlock()
-			if !wait(d) {
+			if !wait(earliest) {
 				r.mu.Lock()
 				r.retransActive = false
 				r.mu.Unlock()
@@ -1092,10 +1131,8 @@ func (r *ReliableLink) retransmitLoop() {
 				break
 			}
 			e.attempts++
-			e.backoff *= 2
-			if e.backoff > r.cfg.MaxBackoff {
-				e.backoff = r.cfg.MaxBackoff
-			}
+			e.backoff = min(2*e.backoff, r.cfg.MaxBackoff)
+			r.rto = max(r.rto, e.backoff)
 			e.deadline = now.Add(e.backoff)
 			due = append(due, e)
 		}
@@ -1240,6 +1277,8 @@ func (r *ReliableLink) isClosed() bool {
 // dedup (resumeCum) suppresses anything it had already committed.
 // Returns the number of frames put back on the wire.
 func (r *ReliableLink) resume(raw Link, sameEpoch bool, cum uint64) int {
+	r.sendMu.Lock() // the replay goes out ahead of any new frame
+	defer r.sendMu.Unlock()
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -1263,7 +1302,7 @@ func (r *ReliableLink) resume(raw Link, sameEpoch bool, cum uint64) int {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
 	now := r.clock.Now()
-	rto := r.currentRTOLocked()
+	rto := r.rto
 	// Build fresh entries rather than mutating the old ones: a resend
 	// racing on another goroutine may still be reading the old frames.
 	fresh := make([]*relEntry, 0, len(entries))
@@ -1311,6 +1350,8 @@ func (r *ReliableLink) resume(raw Link, sameEpoch bool, cum uint64) int {
 	r.ensureRetransLocked()
 	r.updateRunnableLocked()
 	r.cond.Broadcast()
+	r.wireBusy(1)
+	defer r.wireBusy(-1)
 	r.mu.Unlock()
 	r.kickLoop()
 
@@ -1390,7 +1431,7 @@ func (r *ReliableLink) Snapshot() ReliableLinkStats {
 		QueueAbandoned: r.queueAbandoned,
 		SRTT:           r.est.srtt,
 		RTTVar:         r.est.rttvar,
-		RTO:            r.currentRTOLocked(),
+		RTO:            r.rto,
 		RTTSamples:     r.est.samples,
 		Detached:       r.detached,
 	}
@@ -1420,16 +1461,32 @@ type relPending struct {
 	m          *Message
 }
 
+// relGap is one gap report awaiting transmission.
+type relGap struct {
+	epoch uint64
+	seqs  []uint64
+}
+
 // relReceiver is the receive half of the reliable layer: dedup,
 // cumulative acks, gap-driven NACKs, and strictly in-order dispatch.
 // One is armed on every Conn, so receiving needs no opt-in.
 //
+// handleData runs on the connection's read loop, so every dedup,
+// buffering and gap decision sees frames in wire order. It never
+// writes to the connection and never runs a handler: both go to the
+// drain, one goroutine at a time per receiver, started when a burst
+// leaves work and gone when it is done. (Two read loops writing to
+// each other over an unbuffered pipe would deadlock.)
+//
 // The cumulative ack certifies delivery to the application, not
 // arrival in the reorder buffer: deliv advances only after a frame's
 // handler returns, and that is the watermark every ack carries. A
-// receiver that crashes between receiving a frame and dispatching it
-// has therefore never acknowledged it, so the sender's resume replay
-// redelivers instead of losing it.
+// freshly accepted frame is acked exactly once, by the drain after its
+// handler; only duplicates and frames beyond the buffer are re-acked,
+// which is what repairs a lost ack. A receiver that crashes between
+// receiving a frame and dispatching it has therefore never
+// acknowledged it, so the sender's resume replay redelivers instead of
+// losing it.
 type relReceiver struct {
 	stats *Stats // optional peer counters
 
@@ -1441,6 +1498,8 @@ type relReceiver struct {
 	buf         map[uint64]*Message
 	nacked      map[uint64]struct{} // gaps already reported this epoch
 	pending     []relPending
+	gaps        []relGap // gap reports for the drain to send
+	reack       bool     // a duplicate asked for the watermark to be re-sent
 	dispatching bool
 	closed      bool       // sealed at conn teardown: no accepts, no dispatch
 	idle        *sync.Cond // signalled when dispatching goes false
@@ -1450,6 +1509,9 @@ type relReceiver struct {
 	ack      func(epoch, cum uint64)           // ack transmission
 	nack     func(epoch uint64, seqs []uint64) // gap-report transmission (nil: disabled)
 	drop     func(reason string)               // typed drop-reason reporting (nil: disabled)
+	// spawn runs the drain on a goroutine of its own (nil: inline, on
+	// the caller's goroutine — the unit tests' synchronous form).
+	spawn func(func())
 }
 
 func newRelReceiver(stats *Stats, dispatch, reply func(*Message), ack func(epoch, cum uint64), nack func(epoch uint64, seqs []uint64)) *relReceiver {
@@ -1478,15 +1540,16 @@ func isRelReply(t MsgType) bool {
 	return false
 }
 
-// handleData processes one MsgReliableData body: dedup, buffer,
-// cumulative ack, gap detection, in-order dispatch.
+// handleData processes one MsgReliableData body in wire order: dedup,
+// buffer, gap detection, and routing of correlated replies. Handler
+// dispatch, acks and gap reports are left to the drain, which this
+// starts when none is running.
 func (rr *relReceiver) handleData(body []byte) error {
 	epoch, seq, inner, err := decodeRelData(body)
 	if err != nil {
 		return err
 	}
 	var replyNow *Message
-	var missing []uint64
 	var dropReason string
 	rr.mu.Lock()
 	if rr.closed {
@@ -1524,7 +1587,8 @@ func (rr *relReceiver) handleData(body []byte) error {
 	_, buffered := rr.buf[seq]
 	switch {
 	case seq < rr.next || buffered:
-		rr.countDeduped() // duplicate: suppressed, but re-acked below
+		rr.countDeduped() // duplicate: suppressed, but re-acked
+		rr.reack = true
 		if seq <= rr.resumeCum {
 			// A resume replay re-offering what the pre-outage session
 			// already committed: its own accounting bucket, so churn
@@ -1535,8 +1599,9 @@ func (rr *relReceiver) handleData(body []byte) error {
 			dropReason = "resume replay duplicate"
 		}
 	case seq-rr.next >= relRecvBuffer: // subtraction: safe near seq wrap
-		// Too far ahead to hold; the ack below still reports where
-		// the contiguous prefix ends, and retransmit recovers this.
+		// Too far ahead to hold; the re-ack still reports where the
+		// contiguous prefix ends, and retransmit recovers this.
+		rr.reack = true
 	default:
 		if isRelReply(inner.Type) {
 			// Replies route immediately; a nil sentinel keeps the
@@ -1561,6 +1626,7 @@ func (rr *relReceiver) handleData(body []byte) error {
 		// epoch — the sender repairs immediately and its backoff
 		// timer stays armed as the backstop for a lost report.
 		if rr.nack != nil && seq > rr.next {
+			var missing []uint64
 			for s := rr.next; s < seq && len(missing) < maxNackSeqs; s++ {
 				if _, held := rr.buf[s]; held {
 					continue
@@ -1571,14 +1637,14 @@ func (rr *relReceiver) handleData(body []byte) error {
 				rr.nacked[s] = struct{}{}
 				missing = append(missing, s)
 			}
+			if len(missing) > 0 {
+				rr.gaps = append(rr.gaps, relGap{epoch: rr.epoch, seqs: missing})
+			}
 		}
 	}
-	cum := rr.deliv
-	ackEpoch := rr.epoch
-	runDispatch := false
-	if len(rr.pending) > 0 && !rr.dispatching {
+	start := !rr.dispatching && (len(rr.pending) > 0 || len(rr.gaps) > 0 || rr.reack)
+	if start {
 		rr.dispatching = true
-		runDispatch = true
 	}
 	rr.mu.Unlock()
 
@@ -1588,23 +1654,20 @@ func (rr *relReceiver) handleData(body []byte) error {
 	if dropReason != "" && rr.drop != nil {
 		rr.drop(dropReason) // outside rr.mu: drop callbacks reach the observer
 	}
-	rr.ack(ackEpoch, cum)
-	if len(missing) > 0 {
-		rr.nack(ackEpoch, missing)
-		if rr.stats != nil {
-			rr.stats.relNacksSent.Add(1)
+	if start {
+		if rr.spawn != nil {
+			rr.spawn(rr.drain)
+		} else {
+			rr.drain()
 		}
-	}
-	if runDispatch {
-		rr.drain()
 	}
 	return nil
 }
 
-// drain dispatches pending in-order messages until none remain. Only
-// one goroutine drains at a time; concurrent receptions append under
-// the lock, so dispatch order is exactly sequence order even though
-// frames arrive on racing handler goroutines. After each handler
+// drain sends the queued gap reports and re-ack, then dispatches the
+// next pending in-order message, until nothing is left. Only one
+// drain runs at a time; the read loop appends under the lock, so
+// dispatch order is exactly sequence order. After each handler
 // returns, the delivered watermark advances and an ack carries it to
 // the sender — so an ack never certifies a frame whose handler has
 // not run. A seal mid-drain stops the loop after the in-flight
@@ -1613,17 +1676,36 @@ func (rr *relReceiver) handleData(body []byte) error {
 func (rr *relReceiver) drain() {
 	for {
 		rr.mu.Lock()
-		if rr.closed || len(rr.pending) == 0 {
-			rr.pending = nil
+		if rr.closed || (len(rr.pending) == 0 && len(rr.gaps) == 0 && !rr.reack) {
+			rr.pending, rr.gaps, rr.reack = nil, nil, false
 			rr.dispatching = false
 			rr.idle.Broadcast()
 			rr.mu.Unlock()
 			return
 		}
-		e := rr.pending[0]
-		rr.pending[0] = relPending{}
-		rr.pending = rr.pending[1:]
+		gaps, reack := rr.gaps, rr.reack
+		rr.gaps, rr.reack = nil, false
+		ackEpoch, watermark := rr.epoch, rr.deliv
+		var e relPending
+		have := len(rr.pending) > 0
+		if have {
+			e = rr.pending[0]
+			rr.pending[0] = relPending{}
+			rr.pending = rr.pending[1:]
+		}
 		rr.mu.Unlock()
+		for _, g := range gaps {
+			rr.nack(g.epoch, g.seqs)
+			if rr.stats != nil {
+				rr.stats.relNacksSent.Add(1)
+			}
+		}
+		if reack {
+			rr.ack(ackEpoch, watermark)
+		}
+		if !have {
+			continue
+		}
 		if e.m != nil {
 			rr.dispatch(e.m)
 		}

@@ -855,6 +855,112 @@ func TestRelReceiverNacksGapsOncePerEpoch(t *testing.T) {
 	}
 }
 
+// TestRelReceiverAcksFreshFrameOnce: a fresh frame is acked exactly
+// once, by the drain after its handler returns; receipt alone sends
+// nothing. An out-of-order frame is not acked until it is delivered.
+func TestRelReceiverAcksFreshFrameOnce(t *testing.T) {
+	h := newRecvHarness()
+	h.feed(t, 1, 1, obj(10))
+	h.mu.Lock()
+	acks := fmt.Sprint(h.acks)
+	h.mu.Unlock()
+	if want := fmt.Sprint([][2]uint64{{1, 1}}); acks != want {
+		t.Fatalf("acks after one in-order frame = %s, want %s", acks, want)
+	}
+
+	h.feed(t, 1, 3, obj(12)) // gap at 2: reported, not acked
+	h.feed(t, 1, 2, obj(11))
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if want := fmt.Sprint([][2]uint64{{1, 1}, {1, 2}, {1, 3}}); fmt.Sprint(h.acks) != want {
+		t.Errorf("acks = %v, want %s (one per delivered frame)", h.acks, want)
+	}
+	if len(h.nacks) != 1 {
+		t.Errorf("nack reports = %d, want 1", len(h.nacks))
+	}
+}
+
+// TestRelReceiverWritesOnlyFromDrain: with a spawner set (the read
+// loop's configuration), handleData itself never acks, NACKs or runs
+// a handler; all of it happens on the drain it hands to the spawner,
+// which starts once per burst.
+func TestRelReceiverWritesOnlyFromDrain(t *testing.T) {
+	h := newRecvHarness()
+	var drains []func()
+	h.rr.spawn = func(f func()) { drains = append(drains, f) }
+
+	h.feed(t, 1, 1, obj(10))
+	h.feed(t, 1, 3, obj(12)) // gap at 2
+	h.feed(t, 1, 1, obj(10)) // duplicate: re-ack
+	h.mu.Lock()
+	quiet := len(h.acks) == 0 && len(h.nacks) == 0 && len(h.dispatched) == 0
+	h.mu.Unlock()
+	if !quiet {
+		t.Fatalf("handleData wrote or dispatched on the caller's goroutine: acks=%v nacks=%v dispatched=%v",
+			h.acks, h.nacks, h.dispatched)
+	}
+	if len(drains) != 1 {
+		t.Fatalf("drains spawned = %d, want 1 for the burst", len(drains))
+	}
+	drains[0]()
+	h.mu.Lock()
+	if fmt.Sprint(h.dispatched) != fmt.Sprint([]uint64{10}) || len(h.nacks) != 1 || len(h.acks) == 0 {
+		t.Errorf("after the drain: dispatched=%v nacks=%v acks=%v", h.dispatched, h.nacks, h.acks)
+	}
+	h.mu.Unlock()
+
+	h.feed(t, 1, 2, obj(11)) // a new burst gets a new drain
+	if len(drains) != 2 {
+		t.Fatalf("drains spawned = %d, want 2", len(drains))
+	}
+	drains[1]()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if fmt.Sprint(h.dispatched) != fmt.Sprint([]uint64{10, 11, 12}) {
+		t.Errorf("dispatched = %v, want [10 11 12]", h.dispatched)
+	}
+	if got := h.acks[len(h.acks)-1]; got != [2]uint64{1, 3} {
+		t.Errorf("final ack = %v, want [1 3]", got)
+	}
+}
+
+// TestReliableBackoffCarriesOverUntilSample: the path's RTT (50ms) is
+// above the initial RTO (20ms), so a first transmission always
+// expires before its ack and Karn's rule discards the sample. Backing
+// the link's RTO off on expiry (RFC 6298 §5.5) lets a later frame
+// outlast the round trip and yield a clean sample; without it the
+// estimator never samples and every frame is sent at least twice.
+func TestReliableBackoffCarriesOverUntilSample(t *testing.T) {
+	link := &scriptLink{}
+	clock := NewManualClock()
+	const rtt = 50 * time.Millisecond
+	r := NewReliableLink(link, clock,
+		WithRetransmitTimeout(20*time.Millisecond), WithMaxBackoff(time.Second))
+	defer r.Close()
+	for i := uint64(1); i <= 3; i++ {
+		if err := r.Send(obj(i)); err != nil {
+			t.Fatal(err)
+		}
+		// One round trip in 1ms steps, letting the retransmit loop
+		// re-arm after every fire.
+		for step := time.Duration(0); step < rtt; step += time.Millisecond {
+			if !waitUntil(2*time.Second, func() bool { return clock.PendingTimers() >= 1 }) {
+				t.Fatal("retransmit loop never armed its timer")
+			}
+			clock.Advance(time.Millisecond)
+		}
+		r.Ack(encodeRelAck(r.Snapshot().Epoch, i))
+		if snap := r.Snapshot(); snap.RTTSamples > 0 {
+			if snap.SRTT != rtt {
+				t.Errorf("SRTT = %v, want %v", snap.SRTT, rtt)
+			}
+			return
+		}
+	}
+	snap := r.Snapshot()
+	t.Fatalf("no RTT sample after 3 frames: RTO %v, %d retransmits", snap.RTO, snap.Retransmits)
+}
+
 // TestReliableUnreachableTyped: the give-up error is a typed
 // *UnreachableError carrying attempt counts, matching both the new
 // ErrPeerUnreachable and the legacy ErrReliableGaveUp sentinels.

@@ -22,9 +22,11 @@ import (
 // fabricBusy aggregates the busy probe of one fabric as three shared
 // counters, each maintained event-driven at its own transition edges:
 //
-//	frames     receive buffers holding undrained bytes
+//	frames     receive buffers holding bytes, or whose reader is
+//	           still processing what it took
 //	handlers   message handlers executing (entered minus parked)
-//	pipelines  reliable send pipelines with an admittable head frame
+//	pipelines  reliable send pipelines with an admittable head frame,
+//	           plus reliable frames between registration and raw send
 //
 // The probe itself (Fabric.busy) is then three atomic loads — O(1) in
 // peers and links — instead of a scan under the fabric lock. The
@@ -35,6 +37,20 @@ type fabricBusy struct {
 	frames    atomic.Int64
 	handlers  atomic.Int64
 	pipelines atomic.Int64
+
+	// releases counts every decrement, bumped just before it (release).
+	// Work moves between stages by a goroutine that raises the next
+	// stage before it lowers the previous one, but the probe reads the
+	// stages one at a time, so a handoff during the probe could leave
+	// it seeing every stage empty; a probe during which releases moved
+	// therefore answers busy.
+	releases atomic.Uint64
+}
+
+// release lowers one of b's counters (see releases).
+func (b *fabricBusy) release(c *atomic.Int64) {
+	b.releases.Add(1)
+	c.Add(-1)
 }
 
 // idle reports no runnable work anywhere on the fabric. Transient
@@ -67,7 +83,7 @@ type frameSched struct {
 	heapOps atomic.Uint64
 }
 
-func newFrameSched(clock Clock) *frameSched {
+func newFrameSched(clock Clock, fb *fabricBusy) *frameSched {
 	n := runtime.GOMAXPROCS(0)
 	if n > maxSchedShards {
 		n = maxSchedShards
@@ -82,6 +98,7 @@ func newFrameSched(clock Clock) *frameSched {
 			kick:  make(chan struct{}, 1),
 			done:  make(chan struct{}),
 			ops:   &fs.heapOps,
+			busy:  fb,
 		}
 		fs.shards[i] = s
 		go s.run()
@@ -133,6 +150,7 @@ type schedShard struct {
 	kick  chan struct{}
 	done  chan struct{}
 	ops   *atomic.Uint64
+	busy  *fabricBusy // bumped when a delivery ends (nil in unit tests)
 
 	mu         sync.Mutex
 	heap       schedHeap
@@ -164,10 +182,10 @@ func (s *schedShard) enqueue(d *linkDir, data []byte, due time.Time) {
 }
 
 // run delivers the shard's frames in deadline order, re-arming one
-// timer across waits. Delivery happens outside the shard lock — the
-// linkDir's own mutex serializes against close, preserving the
-// retirement contract that counter snapshots taken after closeAll are
-// exact.
+// timer at the head's deadline across waits. Delivery happens outside
+// the shard lock — the linkDir's own mutex serializes against close,
+// preserving the retirement contract that counter snapshots taken
+// after closeAll are exact.
 func (s *schedShard) run() {
 	var timer Timer
 	for {
@@ -181,13 +199,17 @@ func (s *schedShard) run() {
 				return
 			}
 		}
-		head := s.heap[0]
-		if wait := s.clock.Until(head.due); wait > 0 {
+		if due := s.heap[0].due; due.After(s.clock.Now()) {
 			s.mu.Unlock()
+			// Arm at the head's own deadline, not at a wait computed
+			// from the reading above: time may move before the timer is
+			// armed, and a timer landing past a due head would leave it
+			// due-but-undelivered, which the busy probe reports as busy
+			// for good — virtual time would never advance again.
 			if timer == nil {
-				timer = s.clock.NewTimer(wait)
+				timer = s.clock.NewTimerAt(due)
 			} else {
-				timer.Reset(wait)
+				timer.ResetAt(due)
 			}
 			select {
 			case <-timer.C():
@@ -204,6 +226,9 @@ func (s *schedShard) run() {
 		s.delivering++
 		s.mu.Unlock()
 		it.dir.deliver(it.data)
+		if s.busy != nil {
+			s.busy.releases.Add(1)
+		}
 		s.mu.Lock()
 		s.delivering--
 		s.mu.Unlock()

@@ -135,7 +135,9 @@ var ErrPeerUnreachable = transport.ErrPeerUnreachable
 // exactly-once in-order delivery: sequence framing, cumulative acks,
 // retransmit with exponential backoff and a bounded in-flight window
 // — reliability built above the unreliable link rather than assumed
-// from TCP (see docs/reliable.md).
+// from TCP (see docs/reliable.md). The receiving peer runs a reliable
+// connection's handlers one at a time, in send order, and acks each
+// frame only after its handler returns.
 func WithReliableLinks(opts ...ReliableOption) PeerOption {
 	return transport.WithReliableLinks(opts...)
 }
@@ -144,14 +146,15 @@ func WithReliableLinks(opts ...ReliableOption) PeerOption {
 // (default 32).
 func WithWindow(n int) ReliableOption { return transport.WithWindow(n) }
 
-// WithRetransmitTimeout sets the initial per-frame retransmit timer
-// (default 20ms; the pre-measurement fallback under WithAdaptiveRTO).
+// WithRetransmitTimeout sets the retransmit timeout a link uses until
+// its first round-trip sample (default 20ms); from then on the timeout
+// is measured (SRTT + 4·RTTVAR, Jacobson/Karels, Karn sampling).
 func WithRetransmitTimeout(d time.Duration) ReliableOption {
 	return transport.WithRetransmitTimeout(d)
 }
 
 // WithMaxBackoff caps the doubled retransmit interval and the
-// adaptive RTO (default 640ms).
+// measured RTO (default 640ms).
 func WithMaxBackoff(d time.Duration) ReliableOption { return transport.WithMaxBackoff(d) }
 
 // WithMaxAttempts bounds transmissions per frame before the link
@@ -173,12 +176,13 @@ func WithOverflowPolicy(p OverflowPolicy) ReliableOption {
 	return transport.WithOverflowPolicy(p)
 }
 
-// WithAdaptiveRTO derives each link's retransmit timeout from its
-// measured round-trip time (SRTT + 4·RTTVAR, Jacobson/Karels, Karn
-// sampling) instead of a fixed timer.
+// WithAdaptiveRTO does nothing: every reliable link derives its
+// retransmit timeout from its measured round-trip time.
+//
+// Deprecated: the measured RTO is the only rule; drop the option.
 func WithAdaptiveRTO() ReliableOption { return transport.WithAdaptiveRTO() }
 
-// WithMinRTO floors the adaptive RTO (default 2ms); set it above the
+// WithMinRTO floors the measured RTO (default 2ms); set it above the
 // path's worst round trip to rule out spurious retransmits on steady
 // links.
 func WithMinRTO(d time.Duration) ReliableOption { return transport.WithMinRTO(d) }

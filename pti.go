@@ -137,7 +137,11 @@ type (
 	// object.
 	View = proxy.View
 	// Peer is a transport participant running the optimistic
-	// protocol of Figure 1.
+	// protocol of Figure 1. Its OnReceive handlers never run on a
+	// connection's read loop: objects from a plain connection may be
+	// handled concurrently and in any order, objects from a reliable
+	// one (WithReliableLinks on the sender) one at a time per
+	// connection, in send order.
 	Peer = transport.Peer
 	// Conn is one link between two peers.
 	Conn = transport.Conn
