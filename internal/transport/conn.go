@@ -92,9 +92,9 @@ func newConnWith(p *Peer, rw net.Conn, rel *ReliableLink, owner *Remote) *Conn {
 	c.rrecv.drop = func(reason string) {
 		p.emit(EventDropped, typedesc.TypeRef{}, reason)
 	}
-	// The receiver's drain runs handlers and writes acks, so it is a
-	// handler goroutine: Close waits for it, and the virtual clock holds
-	// still while it runs.
+	// The receiver's drain (handlers, acks) and signaller (NACKs,
+	// re-acks) are handler goroutines: Close waits for them, and the
+	// virtual clock holds still while they run.
 	c.rrecv.spawn = p.goHandler
 	var created *ReliableLink
 	switch {
@@ -230,8 +230,9 @@ func (c *Conn) readLoop() {
 			}
 		case MsgReliableData:
 			// Sequenced here, in wire order: dedup, buffering and gap
-			// reports see frames exactly as they arrived. Handlers,
-			// acks and NACKs go to the receiver's drain goroutine.
+			// reports see frames exactly as they arrived. Handlers and
+			// acks go to the receiver's drain, NACKs and re-acks to its
+			// signaller, so neither blocks the read loop.
 			_ = c.rrecv.handleData(m.Body)
 		default:
 			// Requests may themselves wait for replies on this
@@ -334,26 +335,15 @@ type pendingReply struct {
 	c       *Conn
 	seq     uint64
 	msgType MsgType
-	// parked marks a handler waiting on the exchange (requestParked):
-	// await parks it once the request is out, and the settle unparks
-	// it — on the goroutine that routes the reply, so the handler
-	// reads busy again from that instant, not from whenever it is next
-	// scheduled. parkState orders the two: 0 neither yet, 1 parked, 2
-	// settled; a settle before the park cancels it.
-	parked bool
-	ch     chan *Message
-	sentAt time.Time
+	ch      chan *Message
+	sentAt  time.Time
 
-	once      sync.Once
-	parkState atomic.Int32
-	onSettle  func()
+	once     sync.Once
+	onSettle func()
 }
 
 func (pr *pendingReply) settled() {
 	pr.once.Do(func() {
-		if pr.parked && pr.parkState.Swap(2) == 1 {
-			pr.c.peer.unpark()
-		}
 		if pr.onSettle != nil {
 			pr.onSettle()
 		}
@@ -373,7 +363,7 @@ func (c *Conn) abandon(pr *pendingReply) {
 // startRequest registers a correlated exchange and sends the request,
 // without waiting for the reply — the pipelined half of request. On
 // error the settle hook has already run.
-func (c *Conn) startRequest(t MsgType, body []byte, onSettle func(), parked bool) (*pendingReply, error) {
+func (c *Conn) startRequest(t MsgType, body []byte, onSettle func()) (*pendingReply, error) {
 	fail := func(err error) (*pendingReply, error) {
 		if onSettle != nil {
 			onSettle()
@@ -398,7 +388,6 @@ func (c *Conn) startRequest(t MsgType, body []byte, onSettle func(), parked bool
 		msgType:  t,
 		ch:       make(chan *Message, 1),
 		sentAt:   c.peer.clock.Now(),
-		parked:   parked,
 		onSettle: onSettle,
 	}
 	c.pending[seq] = pr
@@ -419,9 +408,6 @@ func (c *Conn) startRequest(t MsgType, body []byte, onSettle func(), parked bool
 // does not extend its deadline.
 func (pr *pendingReply) await() (*Message, error) {
 	c := pr.c
-	if pr.parked && pr.parkState.CompareAndSwap(0, 1) {
-		c.peer.park()
-	}
 	timer := c.peer.clock.NewTimerAt(pr.sentAt.Add(c.peer.requestTimeout))
 	defer timer.Stop()
 	select {
@@ -448,20 +434,32 @@ func (pr *pendingReply) await() (*Message, error) {
 // hostage for the full request timeout (crash/restart schedules in
 // the simulation fabric hit this constantly).
 func (c *Conn) request(t MsgType, body []byte) (*Message, error) {
-	return c.roundTrip(t, body, false)
+	pr, err := c.startRequest(t, body, nil)
+	if err != nil {
+		return nil, err
+	}
+	return pr.await()
 }
 
 // requestParked is request for a handler: the handler is parked while
-// it waits (see pendingReply.parked), so the exchange's own reply or
-// timeout — not the handler — is what holds virtual time.
+// it waits, so the exchange's own reply or timeout — not the handler —
+// is what holds virtual time. It parks only once the request is out,
+// and the settle hook unparks it on the goroutine that routes the
+// reply, so the handler reads busy again from that instant, not from
+// whenever it is next scheduled. state orders the two: 0 neither yet,
+// 1 parked, 2 settled; a settle before the park cancels it.
 func (c *Conn) requestParked(t MsgType, body []byte) (*Message, error) {
-	return c.roundTrip(t, body, true)
-}
-
-func (c *Conn) roundTrip(t MsgType, body []byte, parked bool) (*Message, error) {
-	pr, err := c.startRequest(t, body, nil, parked)
+	var state atomic.Int32
+	pr, err := c.startRequest(t, body, func() {
+		if state.Swap(2) == 1 {
+			c.peer.unpark()
+		}
+	})
 	if err != nil {
 		return nil, err
+	}
+	if state.CompareAndSwap(0, 1) {
+		c.peer.park()
 	}
 	return pr.await()
 }

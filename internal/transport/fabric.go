@@ -155,15 +155,13 @@ func WithVirtualClock() FabricOption {
 // back to an empty buffer, Peer on handler enter/park/unpark/exit,
 // ReliableLink on every admission-state change and around each raw
 // send), and the scheduler reports due-but-undelivered frames whose
-// timers have already consumed themselves. A probe that overlaps a
-// release answers busy (fabricBusy.releases). The 20kHz probe
-// therefore costs O(1) in peers and links.
+// timers have already consumed themselves. The 20kHz probe therefore
+// costs O(1) in peers and links.
 func (f *Fabric) busy() bool {
-	releases := f.fb.releases.Load()
-	if !f.fb.idle() || f.fsched.busy(f.clock.Now()) {
+	if !f.fb.idle() {
 		return true
 	}
-	return f.fb.releases.Load() != releases
+	return f.fsched.busy(f.clock.Now())
 }
 
 // NamedProfile returns one of the canonical fault profiles the soak
@@ -236,7 +234,7 @@ func NewFabric(seed int64, opts ...FabricOption) *Fabric {
 	// and the scheduler's shard timers must run on the final clock.
 	// The busy probe is installed last — it reads f.fsched, so the
 	// auto-advancer must not see the fabric half-built.
-	f.fsched = newFrameSched(f.clock, f.fb)
+	f.fsched = newFrameSched(f.clock)
 	if f.vclock != nil {
 		f.vclock.SetBusyFunc(f.busy)
 	}
@@ -1040,7 +1038,7 @@ func (b *frameBuffer) claimLocked(want bool) {
 	if want {
 		b.busy.frames.Add(1)
 	} else {
-		b.busy.release(&b.busy.frames)
+		b.busy.frames.Add(-1)
 	}
 }
 

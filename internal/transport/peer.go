@@ -715,7 +715,7 @@ func (p *Peer) handlerEnter() {
 func (p *Peer) handlerExit() {
 	p.activeHandlers.Add(-1)
 	if p.busyRef != nil {
-		p.busyRef.release(&p.busyRef.handlers)
+		p.busyRef.handlers.Add(-1)
 	}
 }
 
@@ -730,7 +730,7 @@ func (p *Peer) handlerExit() {
 func (p *Peer) park() {
 	p.parkedHandlers.Add(1)
 	if p.busyRef != nil {
-		p.busyRef.release(&p.busyRef.handlers)
+		p.busyRef.handlers.Add(-1)
 	}
 }
 

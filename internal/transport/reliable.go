@@ -38,13 +38,11 @@ import (
 // Jacobson/Karels estimate from measured per-link RTT — SRTT/RTTVAR
 // updated only from frames transmitted exactly once (Karn's rule),
 // clamped to [MinRTO, MaxBackoff]. RetransmitTimeout is the value
-// before the first sample, and a timer expiry backs the link's
-// timeout off (§5.5) until the next clean sample replaces it. NACK
-// fast-retransmit closes the other half of the loop from the receive
-// side: a receiver that observes a sequence gap reports the missing
-// seqs in a MsgReliableNack, and the sender repairs them immediately
-// instead of waiting out a full backoff interval; the timer remains
-// the backstop for lost NACKs.
+// before the first sample. NACK fast-retransmit closes the other half
+// of the loop from the receive side: a receiver that observes a
+// sequence gap reports the missing seqs in a MsgReliableNack, and the
+// sender repairs them immediately instead of waiting out a full
+// backoff interval; the timer remains the backstop for lost NACKs.
 //
 // Receiver side (relReceiver, armed on every Conn unconditionally so
 // only the sender has to opt in): the connection's read loop hands it
@@ -456,8 +454,7 @@ type ReliableLink struct {
 	queueAbandoned uint64
 	est            rttEstimator
 	// rto is the timeout new frames start from: RetransmitTimeout
-	// until the first clean sample, then the clamped estimate, backed
-	// off by timer expiries until the next clean sample.
+	// until the first clean sample, then the clamped estimate.
 	rto         time.Duration
 	lastSendErr error
 	closed      bool
@@ -915,21 +912,18 @@ func (r *ReliableLink) updateRunnableLocked() {
 	if now {
 		r.busyRef.pipelines.Add(1)
 	} else {
-		r.busyRef.release(&r.busyRef.pipelines)
+		r.busyRef.pipelines.Add(-1)
 	}
 }
 
-// wireBusy counts a registered frame on its way to the raw link into
-// the fabric's pipelines counter (delta +1 before the link's lock is
-// released, -1 once the raw send returns): the frame's retransmit
-// deadline already runs, and virtual time must not reach it while the
-// frame has not even left.
+// wireBusy counts registered frames on their way to the raw link
+// into the fabric's pipelines counter (+1 before the link's lock is
+// released, -1 once the raw send returns): the frames' retransmit
+// deadlines already run, and virtual time must not reach them while
+// they have not even left. The send pipeline's sender goroutine is no
+// handler, so nothing else counts it busy in that gap.
 func (r *ReliableLink) wireBusy(delta int64) {
-	switch {
-	case r.busyRef == nil:
-	case delta < 0:
-		r.busyRef.release(&r.busyRef.pipelines)
-	default:
+	if r.busyRef != nil {
 		r.busyRef.pipelines.Add(delta)
 	}
 }
@@ -969,7 +963,7 @@ func (r *ReliableLink) Request(t MsgType, body []byte) (*Message, error) {
 // Ack processes a cumulative acknowledgement body, releasing every
 // in-flight frame it covers and feeding the RTT estimator (Karn's
 // rule: only frames transmitted exactly once produce samples). A
-// clean sample replaces the link's RTO, ending any back-off.
+// clean sample replaces the link's RTO.
 // Conn-attached links are fed automatically from the connection's
 // read loop.
 func (r *ReliableLink) Ack(body []byte) {
@@ -1062,17 +1056,15 @@ func (r *ReliableLink) Nack(body []byte) {
 }
 
 // retransmitLoop resends unacked frames when their deadlines pass,
-// doubling each frame's backoff per attempt; an expiry also backs the
-// link's RTO off to the doubled interval, so frames registered later
-// start from it (RFC 6298 §5.5) instead of expiring the same way. One
-// timer is re-armed at the earliest deadline across waits
-// (Timer.ResetAt) so the loop costs no per-wake allocation. The loop
-// is spawned lazily by ensureRetransLocked and exits — instead of
-// parking — once nothing is in flight, the link detaches (deadlines
-// freeze until the resume replay rearms them and respawns the loop),
-// or it closes; the flag clears in the same critical section as the
-// exit decision so a concurrent registration can never see a stale
-// flag and skip the respawn.
+// doubling each frame's backoff per attempt. One timer is re-armed at
+// the earliest deadline across waits (Timer.ResetAt) so the loop
+// costs no per-wake allocation. The loop is spawned lazily by
+// ensureRetransLocked and exits — instead of parking — once nothing
+// is in flight, the link detaches (deadlines freeze until the resume
+// replay rearms them and respawns the loop), or it closes; the flag
+// clears in the same critical section as the exit decision so a
+// concurrent registration can never see a stale flag and skip the
+// respawn.
 func (r *ReliableLink) retransmitLoop() {
 	var timer Timer
 	wait := func(at time.Time) bool { // false: shut down
@@ -1132,7 +1124,6 @@ func (r *ReliableLink) retransmitLoop() {
 			}
 			e.attempts++
 			e.backoff = min(2*e.backoff, r.cfg.MaxBackoff)
-			r.rto = max(r.rto, e.backoff)
 			e.deadline = now.Add(e.backoff)
 			due = append(due, e)
 		}
@@ -1472,11 +1463,14 @@ type relGap struct {
 // One is armed on every Conn, so receiving needs no opt-in.
 //
 // handleData runs on the connection's read loop, so every dedup,
-// buffering and gap decision sees frames in wire order. It never
-// writes to the connection and never runs a handler: both go to the
-// drain, one goroutine at a time per receiver, started when a burst
-// leaves work and gone when it is done. (Two read loops writing to
-// each other over an unbuffered pipe would deadlock.)
+// buffering and gap decision sees frames in wire order. It neither
+// sends an ack or NACK nor runs a handler: handlers go to the drain,
+// gap reports and re-acks to the signaller, each one goroutine at a
+// time per receiver, started when a burst leaves work and gone when it
+// is done. The signaller never waits for a handler, so a blocked
+// handler does not hold up repair of frames that arrive meanwhile; and
+// the read loop does not block on its own conn for them (two read
+// loops writing to each other over an unbuffered pipe would deadlock).
 //
 // The cumulative ack certifies delivery to the application, not
 // arrival in the reorder buffer: deliv advances only after a frame's
@@ -1498,9 +1492,10 @@ type relReceiver struct {
 	buf         map[uint64]*Message
 	nacked      map[uint64]struct{} // gaps already reported this epoch
 	pending     []relPending
-	gaps        []relGap // gap reports for the drain to send
+	gaps        []relGap // gap reports for the signaller to send
 	reack       bool     // a duplicate asked for the watermark to be re-sent
 	dispatching bool
+	signalling  bool
 	closed      bool       // sealed at conn teardown: no accepts, no dispatch
 	idle        *sync.Cond // signalled when dispatching goes false
 
@@ -1509,8 +1504,9 @@ type relReceiver struct {
 	ack      func(epoch, cum uint64)           // ack transmission
 	nack     func(epoch uint64, seqs []uint64) // gap-report transmission (nil: disabled)
 	drop     func(reason string)               // typed drop-reason reporting (nil: disabled)
-	// spawn runs the drain on a goroutine of its own (nil: inline, on
-	// the caller's goroutine — the unit tests' synchronous form).
+	// spawn runs the drain and the signaller on goroutines of their
+	// own (nil: inline, on the caller's goroutine — the unit tests'
+	// synchronous form).
 	spawn func(func())
 }
 
@@ -1542,8 +1538,9 @@ func isRelReply(t MsgType) bool {
 
 // handleData processes one MsgReliableData body in wire order: dedup,
 // buffer, gap detection, and routing of correlated replies. Handler
-// dispatch, acks and gap reports are left to the drain, which this
-// starts when none is running.
+// dispatch and acks are left to the drain, gap reports and re-acks to
+// the signaller; this starts either when it has work and none is
+// running.
 func (rr *relReceiver) handleData(body []byte) error {
 	epoch, seq, inner, err := decodeRelData(body)
 	if err != nil {
@@ -1642,9 +1639,13 @@ func (rr *relReceiver) handleData(body []byte) error {
 			}
 		}
 	}
-	start := !rr.dispatching && (len(rr.pending) > 0 || len(rr.gaps) > 0 || rr.reack)
+	start := !rr.dispatching && len(rr.pending) > 0
 	if start {
 		rr.dispatching = true
+	}
+	signal := !rr.signalling && (len(rr.gaps) > 0 || rr.reack)
+	if signal {
+		rr.signalling = true
 	}
 	rr.mu.Unlock()
 
@@ -1655,18 +1656,51 @@ func (rr *relReceiver) handleData(body []byte) error {
 		rr.drop(dropReason) // outside rr.mu: drop callbacks reach the observer
 	}
 	if start {
-		if rr.spawn != nil {
-			rr.spawn(rr.drain)
-		} else {
-			rr.drain()
-		}
+		rr.run(rr.drain)
+	}
+	if signal {
+		rr.run(rr.signal)
 	}
 	return nil
 }
 
-// drain sends the queued gap reports and re-ack, then dispatches the
-// next pending in-order message, until nothing is left. Only one
-// drain runs at a time; the read loop appends under the lock, so
+func (rr *relReceiver) run(f func()) {
+	if rr.spawn != nil {
+		rr.spawn(f)
+	} else {
+		f()
+	}
+}
+
+// signal sends the queued gap reports and re-ack until none are left.
+// Only one signaller runs at a time, and it never waits for a handler.
+// A re-ack carries the delivered watermark as of its sending.
+func (rr *relReceiver) signal() {
+	for {
+		rr.mu.Lock()
+		gaps, reack := rr.gaps, rr.reack
+		rr.gaps, rr.reack = nil, false
+		if rr.closed || (len(gaps) == 0 && !reack) {
+			rr.signalling = false
+			rr.mu.Unlock()
+			return
+		}
+		epoch, watermark := rr.epoch, rr.deliv
+		rr.mu.Unlock()
+		for _, g := range gaps {
+			rr.nack(g.epoch, g.seqs)
+			if rr.stats != nil {
+				rr.stats.relNacksSent.Add(1)
+			}
+		}
+		if reack {
+			rr.ack(epoch, watermark)
+		}
+	}
+}
+
+// drain dispatches pending in-order messages until none remain. Only
+// one drain runs at a time; the read loop appends under the lock, so
 // dispatch order is exactly sequence order. After each handler
 // returns, the delivered watermark advances and an ack carries it to
 // the sender — so an ack never certifies a frame whose handler has
@@ -1676,36 +1710,17 @@ func (rr *relReceiver) handleData(body []byte) error {
 func (rr *relReceiver) drain() {
 	for {
 		rr.mu.Lock()
-		if rr.closed || (len(rr.pending) == 0 && len(rr.gaps) == 0 && !rr.reack) {
-			rr.pending, rr.gaps, rr.reack = nil, nil, false
+		if rr.closed || len(rr.pending) == 0 {
+			rr.pending = nil
 			rr.dispatching = false
 			rr.idle.Broadcast()
 			rr.mu.Unlock()
 			return
 		}
-		gaps, reack := rr.gaps, rr.reack
-		rr.gaps, rr.reack = nil, false
-		ackEpoch, watermark := rr.epoch, rr.deliv
-		var e relPending
-		have := len(rr.pending) > 0
-		if have {
-			e = rr.pending[0]
-			rr.pending[0] = relPending{}
-			rr.pending = rr.pending[1:]
-		}
+		e := rr.pending[0]
+		rr.pending[0] = relPending{}
+		rr.pending = rr.pending[1:]
 		rr.mu.Unlock()
-		for _, g := range gaps {
-			rr.nack(g.epoch, g.seqs)
-			if rr.stats != nil {
-				rr.stats.relNacksSent.Add(1)
-			}
-		}
-		if reack {
-			rr.ack(ackEpoch, watermark)
-		}
-		if !have {
-			continue
-		}
 		if e.m != nil {
 			rr.dispatch(e.m)
 		}

@@ -880,18 +880,20 @@ func TestRelReceiverAcksFreshFrameOnce(t *testing.T) {
 	}
 }
 
-// TestRelReceiverWritesOnlyFromDrain: with a spawner set (the read
-// loop's configuration), handleData itself never acks, NACKs or runs
-// a handler; all of it happens on the drain it hands to the spawner,
-// which starts once per burst.
-func TestRelReceiverWritesOnlyFromDrain(t *testing.T) {
+// TestRelReceiverSignalsWithoutWaitingForHandlers: with a spawner set
+// (the read loop's configuration), handleData itself never acks, NACKs
+// or runs a handler. Handlers and their acks run on the drain; gap
+// reports and re-acks on the signaller, which goes out while the drain
+// has not yet run — as it would while a handler blocks. Each starts
+// once per burst.
+func TestRelReceiverSignalsWithoutWaitingForHandlers(t *testing.T) {
 	h := newRecvHarness()
-	var drains []func()
-	h.rr.spawn = func(f func()) { drains = append(drains, f) }
+	var spawned []func()
+	h.rr.spawn = func(f func()) { spawned = append(spawned, f) }
 
-	h.feed(t, 1, 1, obj(10))
-	h.feed(t, 1, 3, obj(12)) // gap at 2
-	h.feed(t, 1, 1, obj(10)) // duplicate: re-ack
+	h.feed(t, 1, 1, obj(10)) // starts the drain
+	h.feed(t, 1, 3, obj(12)) // gap at 2: starts the signaller
+	h.feed(t, 1, 1, obj(10)) // duplicate: re-ack, same signaller
 	h.mu.Lock()
 	quiet := len(h.acks) == 0 && len(h.nacks) == 0 && len(h.dispatched) == 0
 	h.mu.Unlock()
@@ -899,21 +901,29 @@ func TestRelReceiverWritesOnlyFromDrain(t *testing.T) {
 		t.Fatalf("handleData wrote or dispatched on the caller's goroutine: acks=%v nacks=%v dispatched=%v",
 			h.acks, h.nacks, h.dispatched)
 	}
-	if len(drains) != 1 {
-		t.Fatalf("drains spawned = %d, want 1 for the burst", len(drains))
+	if len(spawned) != 2 {
+		t.Fatalf("goroutines spawned = %d, want 2 (drain, signaller)", len(spawned))
 	}
-	drains[0]()
+	drain, signal := spawned[0], spawned[1]
+	signal()
 	h.mu.Lock()
-	if fmt.Sprint(h.dispatched) != fmt.Sprint([]uint64{10}) || len(h.nacks) != 1 || len(h.acks) == 0 {
-		t.Errorf("after the drain: dispatched=%v nacks=%v acks=%v", h.dispatched, h.nacks, h.acks)
+	if len(h.dispatched) != 0 || len(h.nacks) != 1 || fmt.Sprint(h.acks) != fmt.Sprint([][2]uint64{{1, 0}}) {
+		t.Errorf("after the signaller: dispatched=%v nacks=%v acks=%v, want no dispatch, 1 NACK, re-ack [1 0]",
+			h.dispatched, h.nacks, h.acks)
+	}
+	h.mu.Unlock()
+	drain()
+	h.mu.Lock()
+	if fmt.Sprint(h.dispatched) != fmt.Sprint([]uint64{10}) || h.acks[len(h.acks)-1] != [2]uint64{1, 1} {
+		t.Errorf("after the drain: dispatched=%v acks=%v", h.dispatched, h.acks)
 	}
 	h.mu.Unlock()
 
 	h.feed(t, 1, 2, obj(11)) // a new burst gets a new drain
-	if len(drains) != 2 {
-		t.Fatalf("drains spawned = %d, want 2", len(drains))
+	if len(spawned) != 3 {
+		t.Fatalf("goroutines spawned = %d, want 3", len(spawned))
 	}
-	drains[1]()
+	spawned[2]()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if fmt.Sprint(h.dispatched) != fmt.Sprint([]uint64{10, 11, 12}) {
@@ -922,43 +932,6 @@ func TestRelReceiverWritesOnlyFromDrain(t *testing.T) {
 	if got := h.acks[len(h.acks)-1]; got != [2]uint64{1, 3} {
 		t.Errorf("final ack = %v, want [1 3]", got)
 	}
-}
-
-// TestReliableBackoffCarriesOverUntilSample: the path's RTT (50ms) is
-// above the initial RTO (20ms), so a first transmission always
-// expires before its ack and Karn's rule discards the sample. Backing
-// the link's RTO off on expiry (RFC 6298 §5.5) lets a later frame
-// outlast the round trip and yield a clean sample; without it the
-// estimator never samples and every frame is sent at least twice.
-func TestReliableBackoffCarriesOverUntilSample(t *testing.T) {
-	link := &scriptLink{}
-	clock := NewManualClock()
-	const rtt = 50 * time.Millisecond
-	r := NewReliableLink(link, clock,
-		WithRetransmitTimeout(20*time.Millisecond), WithMaxBackoff(time.Second))
-	defer r.Close()
-	for i := uint64(1); i <= 3; i++ {
-		if err := r.Send(obj(i)); err != nil {
-			t.Fatal(err)
-		}
-		// One round trip in 1ms steps, letting the retransmit loop
-		// re-arm after every fire.
-		for step := time.Duration(0); step < rtt; step += time.Millisecond {
-			if !waitUntil(2*time.Second, func() bool { return clock.PendingTimers() >= 1 }) {
-				t.Fatal("retransmit loop never armed its timer")
-			}
-			clock.Advance(time.Millisecond)
-		}
-		r.Ack(encodeRelAck(r.Snapshot().Epoch, i))
-		if snap := r.Snapshot(); snap.RTTSamples > 0 {
-			if snap.SRTT != rtt {
-				t.Errorf("SRTT = %v, want %v", snap.SRTT, rtt)
-			}
-			return
-		}
-	}
-	snap := r.Snapshot()
-	t.Fatalf("no RTT sample after 3 frames: RTO %v, %d retransmits", snap.RTO, snap.Retransmits)
 }
 
 // TestReliableUnreachableTyped: the give-up error is a typed

@@ -240,7 +240,7 @@ func (r *RemoteRef) CallAsync(method string, args ...interface{}) (*PendingCall,
 	// The pacer slot is released when the exchange settles (reply
 	// arrived or failed), via the startRequest hook — including on
 	// immediate send failure.
-	pr, err := r.conn.startRequest(MsgInvokeRequest, body, r.conn.pacer.release, false)
+	pr, err := r.conn.startRequest(MsgInvokeRequest, body, r.conn.pacer.release)
 	if err != nil {
 		return nil, err
 	}

@@ -37,20 +37,6 @@ type fabricBusy struct {
 	frames    atomic.Int64
 	handlers  atomic.Int64
 	pipelines atomic.Int64
-
-	// releases counts every decrement, bumped just before it (release).
-	// Work moves between stages by a goroutine that raises the next
-	// stage before it lowers the previous one, but the probe reads the
-	// stages one at a time, so a handoff during the probe could leave
-	// it seeing every stage empty; a probe during which releases moved
-	// therefore answers busy.
-	releases atomic.Uint64
-}
-
-// release lowers one of b's counters (see releases).
-func (b *fabricBusy) release(c *atomic.Int64) {
-	b.releases.Add(1)
-	c.Add(-1)
 }
 
 // idle reports no runnable work anywhere on the fabric. Transient
@@ -83,7 +69,7 @@ type frameSched struct {
 	heapOps atomic.Uint64
 }
 
-func newFrameSched(clock Clock, fb *fabricBusy) *frameSched {
+func newFrameSched(clock Clock) *frameSched {
 	n := runtime.GOMAXPROCS(0)
 	if n > maxSchedShards {
 		n = maxSchedShards
@@ -98,7 +84,6 @@ func newFrameSched(clock Clock, fb *fabricBusy) *frameSched {
 			kick:  make(chan struct{}, 1),
 			done:  make(chan struct{}),
 			ops:   &fs.heapOps,
-			busy:  fb,
 		}
 		fs.shards[i] = s
 		go s.run()
@@ -150,7 +135,6 @@ type schedShard struct {
 	kick  chan struct{}
 	done  chan struct{}
 	ops   *atomic.Uint64
-	busy  *fabricBusy // bumped when a delivery ends (nil in unit tests)
 
 	mu         sync.Mutex
 	heap       schedHeap
@@ -226,9 +210,6 @@ func (s *schedShard) run() {
 		s.delivering++
 		s.mu.Unlock()
 		it.dir.deliver(it.data)
-		if s.busy != nil {
-			s.busy.releases.Add(1)
-		}
 		s.mu.Lock()
 		s.delivering--
 		s.mu.Unlock()
